@@ -5,17 +5,17 @@ Every benchmark regenerates one table or figure of the paper and prints it
 tables are printed regardless and captured by pytest otherwise).
 
 Traces are generated once per session and cached. ``REPRO_BENCH_SCALE``
-(default ``1.0``) scales the request volume of every workload, so
-``REPRO_BENCH_SCALE=0.25 pytest benchmarks/`` gives a fast smoke pass.
+(default ``1.0``) scales the request volume of every workload.
 ``REPRO_BENCH_JOBS`` (default: CPU count) sets the worker-process count
 the grid-shaped benchmarks fan out over via
 :class:`repro.experiments.parallel.ParallelRunner`; ``1`` forces the
 serial path. Parallel and serial runs produce bit-identical results, so
 the shape assertions are unaffected.
 Note: the qualitative shape *assertions* are calibrated for the full-scale
-workloads; at small scales the memory-pressure regime changes and some
-may fail even though the tables still print — use reduced scales to
-eyeball output quickly, and ``1.0`` for the reproduction record.
+workloads. Reduced scales only print the tables: requests shrink while
+capacity stays fixed, so the memory-pressure regime changes, and at
+``REPRO_BENCH_SCALE=0.3`` ``bench_fig12`` and ``bench_fig09_10`` already
+fail. Use ``1.0`` for the reproduction record.
 """
 
 from __future__ import annotations
@@ -86,14 +86,3 @@ def run_sweep(trace, names, configs):
     runner = ParallelRunner(jobs=JOBS)
     results = runner.run_grid(trace, names, configs)
     return {(r.policy_name, r.config): r.result for r in results}
-
-
-def sweep_capacities(trace, names, capacities_gb, **config_kwargs):
-    """Capacity-sweep variant of :func:`run_sweep`, keyed by
-    ``(policy_name, capacity_gb)``."""
-    from repro.experiments.parallel import ParallelRunner
-    runner = ParallelRunner(jobs=JOBS)
-    results = runner.capacity_sweep(trace, names, capacities_gb,
-                                    **config_kwargs)
-    return {(r.policy_name, r.config.capacity_gb): r.result
-            for r in results}

@@ -62,8 +62,11 @@ cmp "$tmpdir/parallel.md" "$tmpdir/serial.md"
 echo "parallel sweep matches serial bit-for-bit"
 
 echo "== telemetry smoke (JSONL events + Chrome trace + time series) =="
-python -m repro.cli trace --preset azure --requests 1500 --seed 3 \
-    --policy CIDRE --capacity-gb 2 --ring-capacity 512 \
+# A chaos + contention run, so the explain check below only passes if
+# explain replays the faults and contention from the same run flags.
+telemetry_run=(--preset azure --requests 1500 --seed 3 --policy CIDRE
+               --capacity-gb 2 --chaos-seed 3 --contention-cores 2)
+python -m repro.cli trace "${telemetry_run[@]}" --ring-capacity 512 \
     --events-out "$tmpdir/events.jsonl" \
     --chrome-trace "$tmpdir/trace.json" \
     --timeseries-out "$tmpdir/series.json" > /dev/null
@@ -83,6 +86,23 @@ print(f"telemetry artifacts OK: {len(events)} events, "
       f"{len(trace['traceEvents'])} trace events, "
       f"{len(series['cluster']['times_ms'])} samples x "
       f"{len(series['functions'])} functions")
+EOF
+python -m repro.cli explain 7 "${telemetry_run[@]}" > "$tmpdir/explain7.txt"
+python - "$tmpdir" <<'EOF'
+import sys
+from repro.sim.eventlog import LIFECYCLE_RANK
+from repro.sim.telemetry import read_events_jsonl
+tmpdir = sys.argv[1]
+events = read_events_jsonl(f"{tmpdir}/events.jsonl")
+assert any("slowdown=" in e.detail for e in events), \
+    "telemetry smoke run is not contended (vacuous explain check)"
+r7 = sorted((e for e in events if e.req_id == 7),
+            key=lambda e: (e.time_ms, LIFECYCLE_RANK[e.kind]))
+printed = [line for line in open(f"{tmpdir}/explain7.txt").read().splitlines()
+           if "r7" in line.split("  ")]
+assert r7 and printed == [str(e) for e in r7], \
+    "explain 7 replayed a different run than the traced one"
+print(f"explain matches the traced run: {len(r7)} r7 events")
 EOF
 
 echo "== sanitized replay smoke (--sanitize is a bit-identical no-op) =="

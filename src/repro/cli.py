@@ -32,6 +32,8 @@ from repro.analysis.tables import render_table
 from repro.experiments.runner import run_one
 from repro.experiments.suites import FIG12_POLICIES, policy_factories
 from repro.sim.config import SimulationConfig
+from repro.sim.contention import ContentionModel
+from repro.sim.faults import FaultPlan, random_plan
 from repro.traces.alibaba import fc_trace
 from repro.traces.azure import azure_trace
 from repro.traces.io import load_trace, save_trace
@@ -56,22 +58,69 @@ def _parse_capacities(spec: str) -> List[float]:
     try:
         return [float(c) for c in spec.split(",")]
     except ValueError:
-        raise SystemExit(
+        raise ValueError(
             f"invalid --capacities {spec!r}: expected comma-separated "
-            f"numbers, e.g. 80,100,160")
+            f"numbers, e.g. 80,100,160") from None
 
 
-def _add_trace_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", choices=("azure", "fc"),
-                        default="azure", help="synthetic workload preset")
-    parser.add_argument("--requests", type=int, default=None,
-                        help="target number of requests")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="generator seed")
-    parser.add_argument("--load", default=None,
-                        help="directory to load a saved trace from")
-    parser.add_argument("--trace-name", default=None,
-                        help="trace name when loading from --load")
+def config_from_args(args: argparse.Namespace, trace: Trace,
+                     capacity_gb: Optional[float] = None
+                     ) -> SimulationConfig:
+    """The run the command line describes: the only place the CLI builds
+    a :class:`SimulationConfig`.
+
+    ``capacity_gb`` overrides ``--capacity-gb`` (``sweep`` and ``report``
+    take ``--capacities`` instead). ``--faults plan.json`` wins over
+    ``--chaos-seed N``, which derives a reproducible random plan from the
+    seed, the worker count and the trace duration; ``--contention
+    model.json`` wins over ``--contention-cores``/``--contention-alpha``.
+    """
+    faults = contention = None
+    if args.faults:
+        faults = FaultPlan.from_json(args.faults)
+    elif args.chaos_seed is not None:
+        faults = random_plan(args.chaos_seed, workers=args.workers,
+                             horizon_ms=max(trace.duration_ms, 60_000.0))
+    if args.contention:
+        contention = ContentionModel.from_json(args.contention)
+    elif args.contention_cores is not None:
+        contention = ContentionModel(cores=args.contention_cores,
+                                     alpha=args.contention_alpha)
+    return SimulationConfig(
+        capacity_gb=args.capacity_gb if capacity_gb is None else capacity_gb,
+        workers=args.workers, threads_per_container=args.threads,
+        reference_impl=args.reference, fast_forward=args.fast_forward,
+        faults=faults, contention=contention)
+
+
+def policy_factory(name: str):
+    """The registered policy factory called ``name``; an unknown name is
+    a usage error."""
+    table = policy_factories()
+    if name not in table:
+        raise ValueError(f"unknown policy {name!r}; choose from: "
+                         f"{', '.join(sorted(table))}")
+    return table[name]
+
+
+def _policy_names(spec: Optional[str], default: List[str]) -> List[str]:
+    """The comma-separated ``--policies`` list (or ``default``), checked
+    before anything replays."""
+    names = spec.split(",") if spec else list(default)
+    for name in names:
+        policy_factory(name)
+    return names
+
+
+def _replay_spec(args: argparse.Namespace):
+    """The trace, ``--policy`` factory and config one replay runs."""
+    trace = _build_trace(args)
+    return trace, policy_factory(args.policy), config_from_args(args, trace)
+
+
+def _replayed(result, args: argparse.Namespace, trace: Trace) -> str:
+    return (f"replayed {result.total} requests "
+            f"({args.policy} on {trace.name} @ {args.capacity_gb:g} GB)")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -104,107 +153,32 @@ def _write_metrics(registry, path: str) -> None:
 def _make_sanitizer(args: argparse.Namespace):
     """A fresh :class:`repro.sim.sanitizer.SimSanitizer` when
     ``--sanitize`` was given."""
-    if not getattr(args, "sanitize", False):
+    if not args.sanitize:
         return None
     from repro.sim.sanitizer import SimSanitizer
     return SimSanitizer()
 
 
-def _fault_plan(args: argparse.Namespace, trace: Trace):
-    """The :class:`repro.sim.faults.FaultPlan` requested on the command
-    line, or ``None``.
-
-    ``--faults plan.json`` loads an explicit schedule and wins over
-    ``--chaos-seed N``, which derives a random-but-reproducible plan
-    from the seed, the worker count, and the trace duration."""
-    if getattr(args, "faults", None):
-        from repro.sim.faults import FaultPlan
-        return FaultPlan.from_json(args.faults)
-    chaos_seed = getattr(args, "chaos_seed", None)
-    if chaos_seed is not None:
-        from repro.sim.faults import random_plan
-        return random_plan(chaos_seed, workers=args.workers,
-                           horizon_ms=max(trace.duration_ms, 60_000.0))
-    return None
-
-
-def _add_fault_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--faults", default=None,
-                        help="JSON fault-plan file (crashes, stragglers, "
-                             "worker classes); see repro.sim.faults")
-    parser.add_argument("--chaos-seed", type=int, default=None,
-                        help="derive a reproducible random fault plan "
-                             "from this seed (--faults wins)")
-
-
-def _contention_model(args: argparse.Namespace):
-    """The :class:`repro.sim.contention.ContentionModel` requested on the
-    command line, or ``None``.
-
-    ``--contention model.json`` loads an explicit model and wins over
-    ``--contention-cores``/``--contention-alpha``, which build the
-    default power-law curve."""
-    if getattr(args, "contention", None):
-        from repro.sim.contention import ContentionModel
-        return ContentionModel.from_json(args.contention)
-    cores = getattr(args, "contention_cores", None)
-    if cores is not None:
-        from repro.sim.contention import ContentionModel
-        alpha = getattr(args, "contention_alpha", None)
-        return ContentionModel(
-            cores=cores, alpha=1.0 if alpha is None else alpha)
-    return None
-
-
-def _add_contention_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--contention", default=None,
-                        help="JSON CPU-contention model file; see "
-                             "repro.sim.contention")
-    parser.add_argument("--contention-cores", type=int, default=None,
-                        help="per-worker core budget for the default "
-                             "slowdown curve (enables contention; "
-                             "--contention wins)")
-    parser.add_argument("--contention-alpha", type=float, default=None,
-                        help="exponent of the slowdown curve "
-                             "max(1, busy/cores)**alpha (default 1.0; "
-                             "0 makes the model inert)")
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    trace = _build_trace(args)
-    table = policy_factories()
-    if args.policy not in table:
-        print(f"unknown policy {args.policy!r}; choose from: "
-              f"{', '.join(sorted(table))}", file=sys.stderr)
-        return 2
-    config = SimulationConfig(capacity_gb=args.capacity_gb,
-                              workers=args.workers,
-                              threads_per_container=args.threads,
-                              reference_impl=args.reference,
-                              faults=_fault_plan(args, trace),
-                              contention=_contention_model(args))
+    trace, factory, config = _replay_spec(args)
     metrics = _metrics_registry(args.metrics_out)
     sanitizer = _make_sanitizer(args)
-    if args.profile_out:
-        # A profile destination is an unambiguous request to profile.
-        args.profile = True
-    if args.profile:
+    profiler = None
+    # A profile destination is an unambiguous request to profile.
+    if args.profile or args.profile_out:
         import cProfile
-        import pstats
-
         profiler = cProfile.Profile()
         profiler.enable()
-        result = run_one(trace, table[args.policy], config,
-                         metrics=metrics, sanitizer=sanitizer)
+    result = run_one(trace, factory, config,
+                     metrics=metrics, sanitizer=sanitizer)
+    if profiler is not None:
+        import pstats
         profiler.disable()
         stats = pstats.Stats(profiler, stream=sys.stderr)
         stats.sort_stats("cumulative").print_stats(25)
         if args.profile_out:
             profiler.dump_stats(args.profile_out)
             print(f"wrote profile to {args.profile_out}", file=sys.stderr)
-    else:
-        result = run_one(trace, table[args.policy], config,
-                         metrics=metrics, sanitizer=sanitizer)
     if sanitizer is not None:
         sanitizer.report()
     print(render_table(
@@ -216,15 +190,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_policy(name: str):
-    table = policy_factories()
-    if name not in table:
-        print(f"unknown policy {name!r}; choose from: "
-              f"{', '.join(sorted(table))}", file=sys.stderr)
-        return None
-    return table[name]
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     """Replay one policy with full run telemetry attached."""
     from repro.sim.eventlog import EventLog
@@ -232,17 +197,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                                      TimeSeriesRecorder,
                                      write_chrome_trace)
 
-    trace = _build_trace(args)
-    factory = _resolve_policy(args.policy)
-    if factory is None:
-        return 2
-    config = SimulationConfig(capacity_gb=args.capacity_gb,
-                              workers=args.workers,
-                              threads_per_container=args.threads,
-                              reference_impl=args.reference,
-                              fast_forward=args.fast_forward,
-                              faults=_fault_plan(args, trace),
-                              contention=_contention_model(args))
+    trace, factory, config = _replay_spec(args)
     sinks = []
     jsonl = spans = None
     if args.events_out:
@@ -264,8 +219,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         sanitizer.report()
 
     result = experiment.result
-    print(f"replayed {result.total} requests "
-          f"({args.policy} on {trace.name} @ {args.capacity_gb:g} GB): "
+    print(f"{_replayed(result, args, trace)}: "
           f"{log.recorded} events recorded, "
           f"{len(log)} held in the ring ({log.dropped} rotated out)")
     if jsonl is not None:
@@ -295,13 +249,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from repro.obs import CauseTracker, DecisionAudit
     from repro.sim.eventlog import EventLog
 
-    trace = _build_trace(args)
-    factory = _resolve_policy(args.policy)
-    if factory is None:
-        return 2
-    config = SimulationConfig(capacity_gb=args.capacity_gb,
-                              workers=args.workers,
-                              threads_per_container=args.threads)
+    trace, factory, config = _replay_spec(args)
     log = EventLog()
     audit = DecisionAudit()
     experiment = run_one(trace, factory, config, event_log=log,
@@ -310,9 +258,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     req = next((r for r in result.requests if r.req_id == args.req_id),
                None)
     if req is None:
-        print(f"no request with id {args.req_id} "
-              f"(ids run 0..{result.total - 1})", file=sys.stderr)
-        return 2
+        raise ValueError(f"no request with id {args.req_id} "
+                         f"(ids run 0..{result.total - 1})")
     print(f"r{req.req_id} {req.func}: {req.start_type.value} start, "
           f"arrived {req.arrival_ms:.3f} ms, "
           f"waited {req.wait_ms:.3f} ms, "
@@ -353,13 +300,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
                                       expensive_decisions, gate_flip_rows)
     from repro.obs import AuditJsonlSink, DecisionAudit
 
-    trace = _build_trace(args)
-    factory = _resolve_policy(args.policy)
-    if factory is None:
-        return 2
-    config = SimulationConfig(capacity_gb=args.capacity_gb,
-                              workers=args.workers,
-                              threads_per_container=args.threads)
+    trace, factory, config = _replay_spec(args)
     sinks = [AuditJsonlSink(args.audit_out)] if args.audit_out else []
     audit = DecisionAudit(sinks=sinks)
     metrics = _metrics_registry(args.metrics_out)
@@ -374,8 +315,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         by_kind[record["kind"]] = by_kind.get(record["kind"], 0) + 1
     kinds = ", ".join(f"{count} {kind}"
                       for kind, count in sorted(by_kind.items())) or "none"
-    print(f"replayed {result.total} requests "
-          f"({args.policy} on {trace.name} @ {args.capacity_gb:g} GB): "
+    print(f"{_replayed(result, args, trace)}: "
           f"{len(records)} decision records ({kinds})")
     if sinks:
         print(f"wrote {sinks[0].emitted} records to {sinks[0].path}")
@@ -437,15 +377,7 @@ def cmd_blame(args: argparse.Namespace) -> int:
                                             victim_decomposition,
                                             worst_decisions)
 
-    trace = _build_trace(args)
-    factory = _resolve_policy(args.policy)
-    if factory is None:
-        return 2
-    config = SimulationConfig(capacity_gb=args.capacity_gb,
-                              workers=args.workers,
-                              threads_per_container=args.threads,
-                              faults=_fault_plan(args, trace),
-                              contention=_contention_model(args))
+    trace, factory, config = _replay_spec(args)
     metrics = _metrics_registry(args.metrics_out)
     run = run_attributed(trace, factory, config,
                          horizon_ms=args.horizon_ms,
@@ -454,8 +386,7 @@ def cmd_blame(args: argparse.Namespace) -> int:
     result = run.experiment.result
     resolver = run.resolver
     total_stamped = sum(resolver.causes.values())
-    print(f"replayed {result.total} requests "
-          f"({args.policy} on {trace.name} @ {args.capacity_gb:g} GB): "
+    print(f"{_replayed(result, args, trace)}: "
           f"{total_stamped} cold starts attributed, "
           f"{len(resolver.outcomes)} decisions settled at a "
           f"{args.horizon_ms:g} ms horizon")
@@ -572,15 +503,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     trace = _build_trace(args)
-    table = policy_factories()
-    names = args.policies.split(",") if args.policies else FIG12_POLICIES
-    config = SimulationConfig(capacity_gb=args.capacity_gb,
-                              workers=args.workers,
-                              threads_per_container=args.threads)
+    names = _policy_names(args.policies, FIG12_POLICIES)
+    config = config_from_args(args, trace)
     rows = []
     for name in names:
-        result = run_one(trace, table[name], config)
-        s = result.summary()
+        s = run_one(trace, policy_factory(name), config).summary()
         rows.append([name, s["avg_overhead_ratio"], s["cold_ratio"],
                      s["warm_ratio"], s["delayed_ratio"],
                      s["avg_wait_ms"], s["avg_memory_mb"] / 1024.0])
@@ -628,8 +555,7 @@ def cmd_whatif(args: argparse.Namespace) -> int:
     from repro.analysis.whatif import tradeoff_analysis
 
     trace = _build_trace(args)
-    result = tradeoff_analysis(
-        trace, SimulationConfig(capacity_gb=args.capacity_gb))
+    result = tradeoff_analysis(trace, config_from_args(args, trace))
     print(ascii_cdf({"queuing": result.queuing_ms,
                      "cold start": result.cold_ms},
                     title=f"queuing vs cold start ({trace.name}, "
@@ -649,16 +575,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.parallel import ParallelRunner
 
     trace = _build_trace(args)
-    table = policy_factories()
-    names = (args.policies.split(",") if args.policies
-             else ["FaasCache", "CIDRE_BSS", "CIDRE", "Offline"])
-    unknown = [n for n in names if n not in table]
-    if unknown:
-        print(f"unknown policies: {unknown}", file=sys.stderr)
-        return 2
+    names = _policy_names(args.policies,
+                          ["FaasCache", "CIDRE_BSS", "CIDRE", "Offline"])
     capacities = _parse_capacities(args.capacities)
     runner = ParallelRunner(jobs=args.jobs)
-    results = runner.capacity_sweep(trace, names, capacities)
+    results = runner.capacity_sweep(
+        trace, names, capacities,
+        config_from_args(args, trace, capacities[0]))
     report = experiment_report(results, baseline=args.baseline,
                                title=f"Policy comparison on {trace.name}")
     if args.out:
@@ -695,13 +618,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.parallel import ParallelRunner, ProgressHeartbeat
 
     trace = _build_trace(args)
-    table = policy_factories()
-    names = (args.policies.split(",") if args.policies
-             else ["TTL", "FaasCache", "CIDRE"])
-    unknown = [n for n in names if n not in table]
-    if unknown:
-        print(f"unknown policies: {unknown}", file=sys.stderr)
-        return 2
+    names = _policy_names(args.policies, ["TTL", "FaasCache", "CIDRE"])
     capacities = _parse_capacities(args.capacities)
 
     def progress(done, total, cell):
@@ -721,10 +638,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                             events_dir=args.events_dir,
                             metrics_dir=args.metrics_out)
     results = runner.capacity_sweep(
-        trace, names, capacities, seed=args.seed,
-        workers=args.workers, threads_per_container=args.threads,
-        faults=_fault_plan(args, trace),
-        contention=_contention_model(args))
+        trace, names, capacities,
+        config_from_args(args, trace, capacities[0]), seed=args.seed)
 
     rows = []
     for res in results:
@@ -829,50 +744,93 @@ def cmd_bench_throughput(args: argparse.Namespace) -> int:
     return status
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``cidre-sim`` parser.
+
+    The run spec is declared once, in parent parsers: the trace flags,
+    ``--capacity-gb`` and the run flags. Every replaying verb inherits
+    all of them (``sweep`` and ``report`` take ``--capacities`` instead
+    of ``--capacity-gb``), so ``explain``, ``audit`` and ``blame``
+    replay exactly the run a ``trace`` with the same flags recorded."""
+    trace_flags = argparse.ArgumentParser(add_help=False)
+    flag = trace_flags.add_argument
+    flag("--preset", choices=("azure", "fc"), default="azure",
+         help="synthetic workload preset")
+    flag("--requests", type=int, default=None,
+         help="target number of requests")
+    flag("--seed", type=int, default=None, help="generator seed")
+    flag("--load", default=None, help="directory to load a saved trace from")
+    flag("--trace-name", default=None,
+         help="trace name when loading from --load")
+
+    capacity_flag = argparse.ArgumentParser(add_help=False)
+    capacity_flag.add_argument("--capacity-gb", type=float, default=100.0)
+
+    run_flags = argparse.ArgumentParser(add_help=False)
+    flag = run_flags.add_argument
+    flag("--workers", type=int, default=1)
+    flag("--threads", type=int, default=1)
+    flag("--faults", default=None,
+         help="JSON fault-plan file (crashes, stragglers, worker classes); "
+              "see repro.sim.faults")
+    flag("--chaos-seed", type=int, default=None,
+         help="derive a reproducible random fault plan from this seed "
+              "(--faults wins)")
+    flag("--contention", default=None,
+         help="JSON CPU-contention model file; see repro.sim.contention")
+    flag("--contention-cores", type=int, default=None,
+         help="per-worker core budget for the default slowdown curve "
+              "(enables contention; --contention wins)")
+    flag("--contention-alpha", type=float, default=1.0,
+         help="exponent of the slowdown curve max(1, busy/cores)**alpha "
+              "(default 1.0; 0 makes the model inert)")
+    flag("--fast-forward", action="store_true",
+         help="skip idle gaps analytically (bit-identical; auto-disabled "
+              "under --reference or with --timeseries-out attached)")
+    flag("--reference", action="store_true",
+         help="use the pre-index reference implementations (scan/sort hot "
+              "path; bit-identical results)")
+
+    policy_flag = argparse.ArgumentParser(add_help=False)
+    policy_flag.add_argument("--policy", default="CIDRE")
+    metrics_flag = argparse.ArgumentParser(add_help=False)
+    metrics_flag.add_argument(
+        "--metrics-out", default=None,
+        help="write a metrics snapshot here (Prometheus text for "
+             ".prom/.txt, JSON otherwise); sweep: a directory of per-cell "
+             "JSON snapshots")
+    sanitize_flag = argparse.ArgumentParser(add_help=False)
+    sanitize_flag.add_argument(
+        "--sanitize", action="store_true",
+        help="run under the sim-sanitizer (write barrier around probe "
+             "callbacks + periodic consistency sweeps); results stay "
+             "bit-identical")
+    run_spec = [trace_flags, capacity_flag, run_flags]
+
     parser = argparse.ArgumentParser(
         prog="cidre-sim",
         description="CIDRE serverless orchestration simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="generate and save a trace")
-    _add_trace_args(gen)
+    gen = sub.add_parser("generate", parents=[trace_flags],
+                         help="generate and save a trace")
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_generate)
 
-    run = sub.add_parser("run", help="replay one policy over a trace")
-    _add_trace_args(run)
-    run.add_argument("--policy", default="CIDRE")
-    run.add_argument("--capacity-gb", type=float, default=100.0)
-    run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--threads", type=int, default=1)
+    run = sub.add_parser(
+        "run", help="replay one policy over a trace",
+        parents=run_spec + [policy_flag, metrics_flag, sanitize_flag])
     run.add_argument("--profile", action="store_true",
                      help="profile the replay with cProfile and print the "
                           "top 25 cumulative entries to stderr")
     run.add_argument("--profile-out", default=None,
                      help="dump pstats data here (implies --profile)")
-    run.add_argument("--reference", action="store_true",
-                     help="use the pre-index reference implementations "
-                          "(scan/sort hot path; bit-identical results)")
-    run.add_argument("--metrics-out", default=None,
-                     help="write a metrics snapshot here (Prometheus "
-                          "text for .prom/.txt, JSON otherwise)")
-    run.add_argument("--sanitize", action="store_true",
-                     help="run under the sim-sanitizer (write barrier "
-                          "around probe callbacks + periodic consistency "
-                          "sweeps); results stay bit-identical")
-    _add_fault_args(run)
-    _add_contention_args(run)
     run.set_defaults(func=cmd_run)
 
     tr = sub.add_parser(
         "trace", help="replay with run telemetry (JSONL event stream, "
-                      "Chrome trace, time series)")
-    _add_trace_args(tr)
-    tr.add_argument("--policy", default="CIDRE")
-    tr.add_argument("--capacity-gb", type=float, default=100.0)
-    tr.add_argument("--workers", type=int, default=1)
-    tr.add_argument("--threads", type=int, default=1)
+                      "Chrome trace, time series)",
+        parents=run_spec + [policy_flag, metrics_flag, sanitize_flag])
     tr.add_argument("--events-out", default=None,
                     help="stream the full event log here as JSON Lines "
                          "(O(1) memory)")
@@ -887,37 +845,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     tr.add_argument("--ring-capacity", type=int, default=65_536,
                     help="events kept in memory (oldest rotate out; "
                          "sinks still see everything)")
-    tr.add_argument("--metrics-out", default=None,
-                    help="write a metrics snapshot here (Prometheus "
-                         "text for .prom/.txt, JSON otherwise)")
-    tr.add_argument("--sanitize", action="store_true",
-                    help="run under the sim-sanitizer (write barrier "
-                         "around sink/recorder callbacks + periodic "
-                         "consistency sweeps); results stay bit-identical")
-    tr.add_argument("--reference", action="store_true",
-                    help="use the pre-index reference implementations "
-                         "(scan/sort hot path; bit-identical results)")
-    tr.add_argument("--fast-forward", action="store_true",
-                    help="skip idle gaps analytically (bit-identical; "
-                         "auto-disabled under --reference or with "
-                         "--timeseries-out attached)")
-    _add_fault_args(tr)
-    _add_contention_args(tr)
     tr.set_defaults(func=cmd_trace)
 
     audit = sub.add_parser(
         "audit", help="replay with the decision audit: gate-flip "
-                      "timeline, eviction balance, expensive decisions")
-    _add_trace_args(audit)
-    audit.add_argument("--policy", default="CIDRE")
-    audit.add_argument("--capacity-gb", type=float, default=100.0)
-    audit.add_argument("--workers", type=int, default=1)
-    audit.add_argument("--threads", type=int, default=1)
+                      "timeline, eviction balance, expensive decisions",
+        parents=run_spec + [policy_flag, metrics_flag])
     audit.add_argument("--audit-out", default=None,
                        help="stream decision records here as JSON Lines")
-    audit.add_argument("--metrics-out", default=None,
-                       help="write a metrics snapshot here (Prometheus "
-                            "text for .prom/.txt, JSON otherwise)")
     audit.add_argument("--flips", type=int, default=20,
                        help="gate flips shown in the timeline "
                             "(0 = all, default 20)")
@@ -928,12 +863,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     blame = sub.add_parser(
         "blame", help="replay with causal attribution: cold starts by "
                       "cause, highest-regret decisions, keep-warm "
-                      "frontier")
-    _add_trace_args(blame)
-    blame.add_argument("--policy", default="CIDRE")
-    blame.add_argument("--capacity-gb", type=float, default=100.0)
-    blame.add_argument("--workers", type=int, default=1)
-    blame.add_argument("--threads", type=int, default=1)
+                      "frontier",
+        parents=run_spec + [policy_flag, metrics_flag])
     blame.add_argument("--horizon-ms", type=float, default=60_000.0,
                        help="settlement horizon: how long a decision's "
                             "consequences are tallied (default 60000)")
@@ -947,11 +878,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="validate the top-N worst evictions by "
                             "replaying with each pinned (slow: one "
                             "replay per decision)")
-    blame.add_argument("--metrics-out", default=None,
-                       help="write a metrics snapshot here (Prometheus "
-                            "text for .prom/.txt, JSON otherwise)")
-    _add_fault_args(blame)
-    _add_contention_args(blame)
     blame.set_defaults(func=cmd_blame)
 
     diff = sub.add_parser(
@@ -964,38 +890,31 @@ def main(argv: Optional[List[str]] = None) -> int:
     diff.set_defaults(func=cmd_diff)
 
     explain = sub.add_parser(
-        "explain", help="replay and explain one request's latency story")
+        "explain", help="replay and explain one request's latency story",
+        parents=run_spec + [policy_flag])
     explain.add_argument("req_id", type=int,
                          help="request id (serial arrival order)")
-    _add_trace_args(explain)
-    explain.add_argument("--policy", default="CIDRE")
-    explain.add_argument("--capacity-gb", type=float, default=100.0)
-    explain.add_argument("--workers", type=int, default=1)
-    explain.add_argument("--threads", type=int, default=1)
     explain.set_defaults(func=cmd_explain)
 
-    cmp_ = sub.add_parser("compare", help="compare policies over a trace")
-    _add_trace_args(cmp_)
+    cmp_ = sub.add_parser("compare", help="compare policies over a trace",
+                          parents=run_spec)
     cmp_.add_argument("--policies", default=None,
                       help="comma-separated policy names (default Fig. 12)")
-    cmp_.add_argument("--capacity-gb", type=float, default=100.0)
-    cmp_.add_argument("--workers", type=int, default=1)
-    cmp_.add_argument("--threads", type=int, default=1)
     cmp_.set_defaults(func=cmd_compare)
 
-    stats = sub.add_parser("stats", help="print workload statistics")
-    _add_trace_args(stats)
+    stats = sub.add_parser("stats", parents=[trace_flags],
+                           help="print workload statistics")
     stats.set_defaults(func=cmd_stats)
 
     whatif = sub.add_parser(
-        "whatif", help="queuing vs cold-start what-if (Figs 5/6)")
-    _add_trace_args(whatif)
-    whatif.add_argument("--capacity-gb", type=float, default=100.0)
-    whatif.set_defaults(func=cmd_whatif)
+        "whatif", help="queuing vs cold-start what-if (Figs 5/6)",
+        parents=[trace_flags, capacity_flag])
+    # The what-if runs the default run spec at the given capacity.
+    whatif.set_defaults(func=cmd_whatif, **vars(run_flags.parse_args([])))
 
     report = sub.add_parser(
-        "report", help="run a policy grid and emit a markdown report")
-    _add_trace_args(report)
+        "report", help="run a policy grid and emit a markdown report",
+        parents=[trace_flags, run_flags])
     report.add_argument("--policies", default=None,
                         help="comma-separated policy names")
     report.add_argument("--capacities", default="80,100,160",
@@ -1008,8 +927,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     report.set_defaults(func=cmd_report)
 
     sweep = sub.add_parser(
-        "sweep", help="parallel policy x capacity sweep with timing")
-    _add_trace_args(sweep)
+        "sweep", help="parallel policy x capacity sweep with timing",
+        parents=[trace_flags, run_flags, metrics_flag])
     sweep.add_argument("--policies", default=None,
                        help="comma-separated policy names "
                             "(default TTL,FaasCache,CIDRE)")
@@ -1023,11 +942,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sweep.add_argument("--events-dir", default=None,
                        help="stream each executed cell's event log to "
                             "a JSONL file in this directory")
-    sweep.add_argument("--metrics-out", default=None,
-                       help="directory for per-cell metrics snapshots "
-                            "(one JSON file per executed cell)")
-    sweep.add_argument("--workers", type=int, default=1)
-    sweep.add_argument("--threads", type=int, default=1)
     sweep.add_argument("--out", default=None,
                        help="write full-precision markdown results here")
     sweep.add_argument("--quiet", action="store_true",
@@ -1036,8 +950,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="heartbeat progress on stderr: cells "
                             "done/total, per-cell wall time, ETA "
                             "(overrides --quiet)")
-    _add_fault_args(sweep)
-    _add_contention_args(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     bench = sub.add_parser(
@@ -1076,9 +988,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     from repro.lint.cli import add_lint_arguments, run_lint
     add_lint_arguments(lint)
     lint.set_defaults(func=run_lint)
+    return parser
 
-    args = parser.parse_args(argv)
-    return args.func(args)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        # Bad input (an unknown policy, an infeasible config, a missing
+        # plan file) is a usage error with a one-line message, like
+        # argparse's own, not a traceback.
+        print(f"cidre-sim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -486,11 +486,12 @@ class ParallelRunner:
 
     def capacity_sweep(self, trace: Trace, policy_names: Sequence[str],
                        capacities_gb: Sequence[float],
-                       seed: Optional[int] = None,
-                       **config_kwargs) -> List[ExperimentResult]:
+                       base: SimulationConfig = SimulationConfig(),
+                       seed: Optional[int] = None
+                       ) -> List[ExperimentResult]:
         """Parallel twin of :func:`repro.experiments.runner.capacity_sweep`
         (capacity-major, policy-minor result order)."""
-        configs = [SimulationConfig(capacity_gb=gb, **config_kwargs)
+        configs = [dataclasses.replace(base, capacity_gb=gb)
                    for gb in capacities_gb]
         return self.run_grid(trace, policy_names, configs, seed=seed)
 

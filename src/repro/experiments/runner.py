@@ -13,7 +13,7 @@ mechanical details every experiment needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.policies.base import OrchestrationPolicy
@@ -108,12 +108,13 @@ def run_grid(trace: Trace, factories: Sequence[PolicyFactory],
 
 def capacity_sweep(trace: Trace, factories: Sequence[PolicyFactory],
                    capacities_gb: Sequence[float],
-                   **config_kwargs) -> List[ExperimentResult]:
+                   base: SimulationConfig = SimulationConfig()
+                   ) -> List[ExperimentResult]:
     """The Fig. 12 pattern: every policy at every cache size.
 
-    Result order follows :func:`run_grid`: capacity-major in the order
-    given, policy-minor in the order given.
+    Each cell runs ``base`` with its ``capacity_gb`` replaced. Result
+    order follows :func:`run_grid`: capacity-major in the order given,
+    policy-minor in the order given.
     """
-    configs = [SimulationConfig(capacity_gb=gb, **config_kwargs)
-               for gb in capacities_gb]
+    configs = [replace(base, capacity_gb=gb) for gb in capacities_gb]
     return run_grid(trace, factories, configs)

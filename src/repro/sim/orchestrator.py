@@ -999,7 +999,9 @@ class Orchestrator:
             if self._m_slowdown is not None:
                 self._m_slowdown.observe(realized)
             if state is not None and state.slowed:
-                detail = f"slowdown={realized!r}"
+                # float(): generated traces carry numpy cold-start times,
+                # and numpy >= 2 reprs its floats as "np.float64(...)".
+                detail = f"slowdown={float(realized)!r}"
         self._log(EventKind.EXEC_END, request.func,
                   container_id=container.container_id,
                   req_id=request.req_id, detail=detail,

@@ -68,10 +68,15 @@ class TestEquivalence:
                    for r in results)
 
     def test_capacity_sweep_matches_serial(self, tiny):
-        ser = capacity_sweep(tiny, select(POLICIES), (2.0, 4.0))
+        base = SimulationConfig(threads_per_container=2)
+        ser = capacity_sweep(tiny, select(POLICIES), (2.0, 4.0), base)
         runner = ParallelRunner(jobs=2, mp_context="fork")
-        par = runner.capacity_sweep(tiny, POLICIES, (2.0, 4.0))
+        par = runner.capacity_sweep(tiny, POLICIES, (2.0, 4.0), base)
         assert_matches_serial(par, ser)
+        # Every cell is the base config at its own capacity.
+        assert [r.config for r in par] == [
+            dataclasses.replace(base, capacity_gb=gb)
+            for gb in (2.0, 4.0) for _ in POLICIES]
 
     def test_unknown_policy_rejected_in_parent(self, tiny):
         with pytest.raises(KeyError):

@@ -189,6 +189,20 @@ class TestTelemetry:
         spans = build_spans(log)
         assert [s.slowdown for s in spans] == [1.5, 1.5]
 
+    def test_slowdown_detail_is_a_plain_float_for_numpy_times(self):
+        """Generated traces carry numpy cold-start times; the detail
+        must still read back (numpy >= 2 reprs ``np.float64(1.5)``)."""
+        np = pytest.importorskip("numpy")
+        spec = FunctionSpec("f0", memory_mb=100.0,
+                            cold_start_ms=np.float64(500.0))
+        requests = [Request("f0", 0.0, 1_000.0),
+                    Request("f0", 1_000.0, 1_000.0)]
+        _, log, _ = run_contention(ContentionModel(cores=1, alpha=1.0),
+                                   requests, functions=(spec,), threads=2)
+        ends = log.of_kind(EventKind.EXEC_END)
+        assert [e.detail for e in ends] == ["slowdown=1.5", "slowdown=1.5"]
+        assert [s.slowdown for s in build_spans(log)] == [1.5, 1.5]
+
     def test_unslowed_exec_end_has_no_detail(self):
         """A lone execution at full speed emits the plain EXEC_END, so
         low-pressure contention runs stay byte-identical per event."""
