@@ -167,6 +167,32 @@ if grep -Eq "worker_crashes +0\.000" "$tmpdir/chaos-plain.txt"; then
 fi
 echo "chaos replay deterministic under the sanitizer, crashes injected"
 
+echo "== post-run metrics export smoke (chaos + contention, --metrics-out) =="
+# The orchestrator's registry families are filled from the run's
+# MetricsCollector once the run ends. With faults and contention
+# together, the crash counter must be live and every completed request
+# must land in both the wait and the slowdown histogram.
+python -m repro.cli run --preset azure --requests 1500 --seed 3 \
+    --policy CIDRE --capacity-gb 4 --workers 2 --chaos-seed 7 \
+    --contention-cores 2 --metrics-out "$tmpdir/m.json" > /dev/null
+python - "$tmpdir" <<'EOF'
+import json, sys
+metrics = json.load(open(f"{sys.argv[1]}/m.json"))
+
+def samples(name):
+    return metrics[name]["samples"]
+
+crashes = sum(s["value"] for s in samples("repro_worker_crashes_total"))
+assert crashes > 0, "chaos run exported no worker crashes"
+(wait,) = samples("repro_request_wait_ms")
+(slowdown,) = samples("repro_contention_slowdown")
+assert wait["count"] == slowdown["count"], \
+    f"wait count {wait['count']} != slowdown count {slowdown['count']}"
+assert wait["count"] > 0, "no completed requests exported"
+print(f"metrics export OK: {crashes:.0f} crashes, "
+      f"{wait['count']} requests in wait and slowdown histograms")
+EOF
+
 echo "== blame smoke (causal attribution on the chaos trace) =="
 # Attribution + outcome resolution over the seeded chaos run. The check
 # is non-vacuous: at least one cold start must be blamed on an audited

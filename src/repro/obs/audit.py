@@ -22,19 +22,22 @@ policy decision worth explaining:
     a ranking snapshot of the surviving candidates.
 
 Records are plain dicts (JSON-ready, compact keys mirroring
-``event_to_dict``) kept in an in-memory ring and optionally streamed to
-:class:`AuditSink`\\ s — the JSONL sidecar sink mirrors
-:class:`repro.sim.telemetry.JsonlSink`. The audit is strictly
-read-only: attaching one leaves runs bit-identical to unaudited runs
-(pinned by ``tests/obs/test_audit_differential.py``).
+``event_to_dict``) kept in the same :class:`~repro.sim.eventlog.RecordLog`
+ring and sink fan-out as the event log, and streamed through the same
+sink core: :class:`AuditSink` is :class:`~repro.sim.telemetry.EventSink`,
+:class:`AuditJsonlSink` a :class:`~repro.sim.telemetry.JsonlSink` that
+writes the dicts as they are. The audit is strictly read-only: attaching
+one leaves runs bit-identical to unaudited runs (pinned by
+``tests/obs/test_audit_differential.py``).
 """
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Deque, Dict, List, Optional, Union
+
+from repro.sim.eventlog import RecordLog
+from repro.sim.telemetry import EventSink, JsonlSink, read_jsonl
 
 __all__ = ["AuditSink", "AuditJsonlSink", "DecisionAudit",
            "RECORD_KINDS", "read_audit_jsonl"]
@@ -46,79 +49,33 @@ __all__ = ["AuditSink", "AuditJsonlSink", "DecisionAudit",
 RECORD_KINDS = ("css_scale", "gate_flip", "eviction_decision",
                 "scale_down")
 
-
-class AuditSink:
-    """Receives audit records as they are emitted.
-
-    Same contract as :class:`repro.sim.telemetry.EventSink`, but for
-    decision records (plain dicts) instead of lifecycle events.
-    """
-
-    def emit(self, record: Dict) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:  # pragma: no cover - trivial default
-        pass
-
-    def __enter__(self) -> "AuditSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+#: Audit sinks share the event sinks' contract: ``emit`` once per
+#: record, idempotent ``close``, context-manager support.
+AuditSink = EventSink
 
 
-class AuditJsonlSink(AuditSink):
+class AuditJsonlSink(JsonlSink):
     """Streams audit records to a JSONL sidecar file, one per line."""
 
     def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "w")
-        self.emitted = 0
-
-    def emit(self, record: Dict) -> None:
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self.emitted += 1
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        super().__init__(path, encode=None)
 
 
 def read_audit_jsonl(path: Union[str, Path]) -> List[Dict]:
     """Load the records written by :class:`AuditJsonlSink`."""
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+    return read_jsonl(path)
 
 
-class DecisionAudit:
+class DecisionAudit(RecordLog):
     """In-memory record ring + sink fan-out for policy decisions.
 
     ``capacity=None`` keeps every record; a finite capacity keeps the
-    most recent ones (sinks still see the full stream, like
-    ``EventLog``'s ring/sink split).
+    most recent ones (sinks still see the full stream).
     """
 
-    def __init__(self, sinks: Sequence[AuditSink] = (),
-                 capacity: Optional[int] = None):
-        self.capacity = capacity
-        self.records: Deque[Dict] = deque(maxlen=capacity)
-        self.recorded = 0
-        self._sinks: List[AuditSink] = list(sinks)
-
     @property
-    def sinks(self) -> Sequence[AuditSink]:
-        return tuple(self._sinks)
-
-    def attach(self, sink: AuditSink) -> AuditSink:
-        self._sinks.append(sink)
-        return sink
+    def records(self) -> Deque[Dict]:
+        return self._ring
 
     def emit(self, record: Dict) -> int:
         """Record one decision; returns its stable ``decision_id``.
@@ -132,10 +89,7 @@ class DecisionAudit:
         did = self.recorded
         stamped = dict(record)
         stamped["did"] = did
-        self.records.append(stamped)
-        self.recorded += 1
-        for sink in self._sinks:
-            sink.emit(stamped)
+        self._append(stamped)
         return did
 
     def of_kind(self, kind: str) -> List[Dict]:
@@ -147,18 +101,7 @@ class DecisionAudit:
         O(1) for unbounded audits (ids are ring indexes); on a bounded
         ring the oldest records rotate out and return ``None``.
         """
-        dropped = self.recorded - len(self.records)
-        index = did - dropped
+        index = did - self.dropped
         if 0 <= index < len(self.records):
             return self.records[index]
         return None
-
-    def close(self) -> None:
-        for sink in self._sinks:
-            sink.close()
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[Dict]:
-        return iter(self.records)

@@ -1,12 +1,16 @@
 """A lightweight, stdlib-only metrics registry (Prometheus-flavoured).
 
-One :class:`MetricsRegistry` is created per run and fed from orchestrator
-and policy hook sites. It supports the three staple instrument types —
-monotone :class:`Counter`, settable :class:`Gauge`, fixed-bucket
-:class:`Histogram` — each optionally split by a fixed set of label names
-(``family.labels(func="f3").inc()``). Instruments are get-or-create by
-name, so hook sites can call ``registry.counter("repro_evictions_total")``
-without threading instrument handles around.
+One :class:`MetricsRegistry` is created per run. The orchestrator fills
+its families once, when the run ends, from the run's
+:class:`~repro.sim.metrics.MetricsCollector` records
+(:func:`repro.sim.metrics.export_run_metrics`); policy hook sites and
+the outcome resolver feed their own families as they go. It supports
+the three staple instrument types — monotone :class:`Counter`, settable
+:class:`Gauge`, fixed-bucket :class:`Histogram` — each optionally split
+by a fixed set of label names (``family.labels(func="f3").inc()``).
+Instruments are get-or-create by name, so hook sites can call
+``registry.counter("repro_css_scale_total")`` without threading
+instrument handles around.
 
 Export surfaces:
 

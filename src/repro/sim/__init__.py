@@ -12,8 +12,7 @@ from repro.sim.metrics import MetricsCollector, SimulationResult
 from repro.sim.orchestrator import Orchestrator, simulate
 from repro.sim.request import Request, StartType
 from repro.sim.telemetry import (EventSink, JsonlSink, RequestSpan,
-                                 RingSink, SpanBuilder,
-                                 TimeSeriesRecorder, build_spans,
+                                 SpanBuilder, TimeSeriesRecorder, build_spans,
                                  chrome_trace, read_events_jsonl,
                                  write_chrome_trace)
 from repro.sim.worker import Worker
@@ -23,7 +22,7 @@ __all__ = [
     "Event", "EventKind",
     "EventLog", "EventSink", "FaultPlan", "FunctionSpec", "JsonlSink",
     "LayerStack", "MetricsCollector", "Orchestrator", "Request",
-    "RequestSpan", "RetryPolicy", "RingSink", "SimulationConfig",
+    "RequestSpan", "RetryPolicy", "SimulationConfig",
     "SimulationResult", "Simulator", "SpanBuilder", "StartType",
     "StragglerSpec", "TimeSeriesRecorder", "Worker", "WorkerClassSpec",
     "build_spans", "chrome_trace", "random_plan", "read_events_jsonl",

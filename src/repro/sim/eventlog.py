@@ -11,7 +11,8 @@ one append per event when enabled, nothing when not. For runs too large
 to hold in memory, the log can be bounded (``capacity``) and/or fanned
 out to streaming :mod:`repro.sim.telemetry` sinks (``sinks``): every
 event still reaches each attached sink, while the in-memory buffer keeps
-only the newest ``capacity`` events.
+only the newest ``capacity`` events. :class:`RecordLog` is that ring and
+fan-out; the decision audit (:mod:`repro.obs.audit`) shares it.
 """
 
 from __future__ import annotations
@@ -131,48 +132,48 @@ class Event:
         return "  ".join(parts)
 
 
-class EventLog:
-    """Accumulates :class:`Event` records during a run."""
+class RecordLog:
+    """An in-memory record ring fanned out to streaming sinks.
+
+    The one implementation behind :class:`EventLog` (lifecycle events)
+    and :class:`repro.obs.DecisionAudit` (decision records).
+    ``capacity`` bounds memory: beyond it the oldest records are dropped
+    one by one (None = unbounded, 0 = sink-only). ``sinks`` (any object
+    with ``emit(record)`` and optionally ``close()``) receive **every**
+    record, including the ones the bounded ring later drops.
+    """
 
     def __init__(self, capacity: Optional[int] = None,
                  sinks: Sequence = ()):
-        """``capacity`` bounds memory: the oldest events are dropped one
-        by one beyond it (None = unbounded). ``sinks`` are telemetry
-        sinks (any object with ``emit(event)``) that receive **every**
-        event, including the ones the bounded buffer later drops."""
         if capacity is not None and capacity < 0:
             raise ValueError("capacity must be >= 0 (or None); 0 keeps "
                              "nothing in memory (sink-only logging)")
         self.capacity = capacity
-        self.events = deque(maxlen=capacity)
-        #: Events evicted from the bounded in-memory buffer. Counts every
-        #: individual dropped event (sinks still saw them all).
+        self._ring: deque = deque(maxlen=capacity)
+        #: Records evicted from the bounded ring. Counts every individual
+        #: dropped record (sinks still saw them all).
         self.dropped = 0
-        #: Total events ever recorded (== len(events) + dropped).
+        #: Total records ever appended (== len(self) + dropped).
         self.recorded = 0
         self._sinks = tuple(sinks)
-
-    def attach(self, sink) -> None:
-        """Add a telemetry sink; it receives events recorded from now on."""
-        self._sinks += (sink,)
 
     @property
     def sinks(self) -> tuple:
         return self._sinks
 
-    def record(self, time_ms: float, kind: EventKind, func: str,
-               container_id: Optional[int] = None,
-               req_id: Optional[int] = None, detail: str = "",
-               worker_id: Optional[int] = None) -> None:
-        events = self.events
-        if self.capacity is not None and len(events) == self.capacity:
+    def attach(self, sink):
+        """Add a sink; it receives records appended from now on."""
+        self._sinks += (sink,)
+        return sink
+
+    def _append(self, record) -> None:
+        ring = self._ring
+        if self.capacity is not None and len(ring) == self.capacity:
             self.dropped += 1          # deque(maxlen) evicts the oldest
-        event = Event(time_ms, kind, func, container_id, req_id, detail,
-                      worker_id)
-        events.append(event)
+        ring.append(record)
         self.recorded += 1
         for sink in self._sinks:
-            sink.emit(event)
+            sink.emit(record)
 
     def close(self) -> None:
         """Close every attached sink (flushes streaming file sinks)."""
@@ -182,10 +183,25 @@ class EventLog:
                 close()
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._ring)
 
     def __iter__(self):
-        return iter(self.events)
+        return iter(self._ring)
+
+
+class EventLog(RecordLog):
+    """Accumulates :class:`Event` records during a run."""
+
+    @property
+    def events(self) -> deque:
+        return self._ring
+
+    def record(self, time_ms: float, kind: EventKind, func: str,
+               container_id: Optional[int] = None,
+               req_id: Optional[int] = None, detail: str = "",
+               worker_id: Optional[int] = None) -> None:
+        self._append(Event(time_ms, kind, func, container_id, req_id,
+                           detail, worker_id))
 
     # ------------------------------------------------------------------
     # Queries

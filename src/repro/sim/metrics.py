@@ -1,8 +1,10 @@
 """Metric collection and aggregate results.
 
-The orchestrator records every completed request plus periodic memory-usage
-samples into a :class:`MetricsCollector`; :class:`SimulationResult` wraps the
-raw records with the aggregate statistics reported in the paper:
+The orchestrator records every completed request, periodic memory-usage
+samples and the run counts into a :class:`MetricsCollector`, the only
+place a run count is kept; :func:`export_run_metrics` folds them into a
+metrics registry after the run. :class:`SimulationResult` wraps the raw
+records with the aggregate statistics reported in the paper:
 
 * cold / warm / delayed start ratios (Fig. 12(b,d), Table 2),
 * average overhead ratio (Fig. 12(a,c), Figs 15, 17, 18, 21),
@@ -28,15 +30,26 @@ class MemorySample:
 
 
 class MetricsCollector:
-    """Accumulates per-request and per-sample records during a run."""
+    """Accumulates per-request and per-sample records and the run counts.
+
+    A total that is the sum of a labelled count is derived from it:
+    ``evictions`` from ``evictions_by_func``, ``cold_starts_begun`` and
+    ``prewarm_starts`` from ``provisions``.
+    """
 
     def __init__(self) -> None:
         self.requests: List[Request] = []
         self.memory_samples: List[MemorySample] = []
-        self.cold_starts_begun = 0
+        self.arrivals = 0   # arrivals dispatched to a worker
+        #: Execution starts by ``StartType`` value, including starts
+        #: later orphaned; validated scaling decisions by action value.
+        self.starts: Dict[str, int] = {t.value: 0 for t in StartType}
+        self.decisions: Dict[str, int] = {}
+        self.evictions_by_func: Dict[str, int] = {}
+        self.provisions: Dict[str, int] = dict.fromkeys(
+            ("bound", "speculative", "prewarm"), 0)
+        self.blocked_provisions = 0   # deferred: make_room freed too little
         self.wasted_cold_starts = 0   # speculative containers never reused
-        self.evictions = 0
-        self.prewarm_starts = 0
         self.restores = 0   # compressed-container restores (CodeCrunch)
         #: Total memory of all containers provisioned over the run (the
         #: Fig. 16 "memory usage" metric — it can exceed the cache size).
@@ -47,6 +60,24 @@ class MetricsCollector:
         self.orphaned_requests = 0    # in-flight executions lost to crashes
         self.reassigned_requests = 0  # re-dispatches (retries + re-routes)
         self.failed_requests: List[Request] = []
+
+    @property
+    def evictions(self) -> int:
+        counts = self.evictions_by_func
+        return sum(counts[func] for func in sorted(counts))
+
+    @property
+    def cold_starts_begun(self) -> int:
+        return self.provisions["bound"] + self.provisions["speculative"]
+
+    @cold_starts_begun.setter
+    def cold_starts_begun(self, value: int) -> None:
+        # Hand-built collectors set the total; it is booked as bound.
+        self.provisions["bound"] = value - self.provisions["speculative"]
+
+    @property
+    def prewarm_starts(self) -> int:
+        return self.provisions["prewarm"]
 
     def record_request(self, request: Request) -> None:
         self.requests.append(request)
@@ -73,6 +104,75 @@ class MetricsCollector:
             reassigned_requests=self.reassigned_requests,
             failed_requests=self.failed_requests,
         )
+
+
+def export_run_metrics(collector: MetricsCollector, registry,
+                       contended: bool) -> None:
+    """Fill the orchestrator's registry families from one run's records.
+
+    Called once when a run ends. A counter child exists only for a
+    label (or unlabelled total) that was counted, so untouched families
+    export empty. The wait histogram (and, under a contention model, the
+    realized-slowdown histogram) is folded from ``requests`` in
+    completion order; the used-memory gauge takes the last sample.
+    """
+    def count(name: str, help_text: str, value: int) -> None:
+        family = registry.counter(name, help_text)
+        if value:
+            family.inc(value)
+
+    def count_by(name: str, help_text: str, label: str,
+                 counts: Dict[str, int]) -> None:
+        family = registry.counter(name, help_text, labelnames=(label,))
+        for key, value in counts.items():
+            if value:
+                family.labels(**{label: key}).inc(value)
+
+    count("repro_requests_total", "Requests replayed", collector.arrivals)
+    count_by("repro_starts_total", "Execution starts by start type", "type",
+             collector.starts)
+    count_by("repro_scale_decisions_total",
+             "Validated scaling decisions (excludes the warm-start and "
+             "compressed-restore fast paths)", "action", collector.decisions)
+    count_by("repro_evictions_total", "Evictions by function", "func",
+             collector.evictions_by_func)
+    count_by("repro_provision_starts_total", "Provisions begun, by kind",
+             "kind", collector.provisions)
+    count("repro_blocked_provisions_total",
+          "Provisions deferred because make_room could not free memory",
+          collector.blocked_provisions)
+    count("repro_worker_crashes_total",
+          "Injected worker crashes (fault layer)", collector.worker_crashes)
+    count("repro_requests_orphaned_total",
+          "In-flight requests orphaned by worker crashes",
+          collector.orphaned_requests)
+    count("repro_requests_reassigned_total",
+          "Requests re-dispatched after losing their worker",
+          collector.reassigned_requests)
+    count("repro_requests_failed_total",
+          "Requests dropped with the crash-retry budget exhausted",
+          len(collector.failed_requests))
+    wait = registry.histogram(
+        "repro_request_wait_ms",
+        "Per-request wait between arrival and execution start")
+    slowdown = registry.histogram(
+        "repro_contention_slowdown",
+        "Realized execution slowdown (wall time over trace exec_ms) "
+        "under the CPU-contention model",
+        buckets=(1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0))
+    if collector.requests:
+        observe = wait.labels().observe
+        for r in collector.requests:
+            observe(r.wait_ms)
+        if contended:
+            observe = slowdown.labels().observe
+            for r in collector.requests:
+                observe((r.end_ms - r.start_ms) / r.exec_ms
+                        if r.exec_ms > 0 else 1.0)
+    used = registry.gauge("repro_used_mb",
+                          "Cluster committed memory at the last sample")
+    if collector.memory_samples:
+        used.set(collector.memory_samples[-1].used_mb)
 
 
 @dataclass

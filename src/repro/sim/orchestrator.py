@@ -2,7 +2,8 @@
 
 :class:`Orchestrator` wires together the event engine, the worker pool, a
 pluggable :class:`~repro.policies.base.OrchestrationPolicy`, and the metric
-collector. It implements the mechanism of the paper's Figure 11:
+collector (the one place the run's counts are kept). It implements the
+mechanism of the paper's Figure 11:
 
 * arrivals are first matched against idle warm containers (true warm starts,
   Step 1a);
@@ -36,7 +37,8 @@ from repro.sim.engine import Simulator
 from repro.sim.eventlog import EventKind, EventLog
 from repro.sim.faults import CrashSpec
 from repro.sim.function import FunctionSpec
-from repro.sim.metrics import MetricsCollector, SimulationResult
+from repro.sim.metrics import (MetricsCollector, SimulationResult,
+                               export_run_metrics)
 from repro.sim.request import Request, StartType
 from repro.sim.worker import Worker
 from repro.policies.base import (OrchestrationPolicy, ScalingAction,
@@ -125,6 +127,11 @@ class Orchestrator:
         The orchestration policy under test.
     config:
         Cluster shape and knobs.
+    metrics:
+        Optional :class:`repro.obs.MetricsRegistry`. The run counts live
+        in :attr:`metrics` (the :class:`MetricsCollector`); when the run
+        ends they are exported into the registry's ``repro_*`` families
+        in one pass, and the policy adds its own families as it decides.
     """
 
     def __init__(self, functions: Iterable[FunctionSpec],
@@ -153,7 +160,9 @@ class Orchestrator:
         #: Optional :class:`repro.obs.DecisionAudit` /
         #: :class:`repro.obs.MetricsRegistry`. Like the recorder, strictly
         #: read-only: attaching either never changes simulation outcomes
-        #: (pinned by ``tests/obs/test_audit_differential.py``).
+        #: (pinned by ``tests/obs/test_audit_differential.py``). The
+        #: registry is only handed to the policy and, after the run, to
+        #: :func:`export_run_metrics`.
         self.audit = audit
         self.metrics_registry = metrics
         #: Optional :class:`repro.obs.attribution.CauseTracker`. Stamps
@@ -163,14 +172,6 @@ class Orchestrator:
         #: byte-identical to a build without the tracker (pinned by
         #: ``tests/obs/test_attribution_differential.py``).
         self.attribution = attribution
-        self._m_requests = self._m_starts = self._m_decisions = None
-        self._m_evictions = self._m_provisions = self._m_blocked = None
-        self._m_wait = self._m_used = None
-        self._m_crashes = self._m_orphaned = None
-        self._m_reassigned = self._m_failed = None
-        self._m_slowdown = None
-        if metrics is not None:
-            self._instrument(metrics)
         self.specs: Dict[str, FunctionSpec] = {f.name: f for f in functions}
         self._usage = _ClusterUsage()
         self._used_mb_cache = 0.0
@@ -246,49 +247,6 @@ class Orchestrator:
         if metrics is not None:
             policy.metrics = metrics
         policy.bind(self)
-
-    def _instrument(self, metrics) -> None:
-        """Pre-register the orchestrator's instruments (hot-path handles)."""
-        self._m_requests = metrics.counter(
-            "repro_requests_total", "Requests replayed")
-        self._m_starts = metrics.counter(
-            "repro_starts_total", "Execution starts by start type",
-            labelnames=("type",))
-        self._m_decisions = metrics.counter(
-            "repro_scale_decisions_total",
-            "Validated scaling decisions (excludes the warm-start and "
-            "compressed-restore fast paths)", labelnames=("action",))
-        self._m_evictions = metrics.counter(
-            "repro_evictions_total", "Evictions by function",
-            labelnames=("func",))
-        self._m_provisions = metrics.counter(
-            "repro_provision_starts_total",
-            "Provisions begun, by kind", labelnames=("kind",))
-        self._m_blocked = metrics.counter(
-            "repro_blocked_provisions_total",
-            "Provisions deferred because make_room could not free memory")
-        self._m_wait = metrics.histogram(
-            "repro_request_wait_ms",
-            "Per-request wait between arrival and execution start")
-        self._m_used = metrics.gauge(
-            "repro_used_mb", "Cluster committed memory at the last sample")
-        self._m_crashes = metrics.counter(
-            "repro_worker_crashes_total",
-            "Injected worker crashes (fault layer)")
-        self._m_orphaned = metrics.counter(
-            "repro_requests_orphaned_total",
-            "In-flight requests orphaned by worker crashes")
-        self._m_reassigned = metrics.counter(
-            "repro_requests_reassigned_total",
-            "Requests re-dispatched after losing their worker")
-        self._m_failed = metrics.counter(
-            "repro_requests_failed_total",
-            "Requests dropped with the crash-retry budget exhausted")
-        self._m_slowdown = metrics.histogram(
-            "repro_contention_slowdown",
-            "Realized execution slowdown (wall time over trace exec_ms) "
-            "under the CPU-contention model",
-            buckets=(1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 16.0))
 
     # ==================================================================
     # PolicyContext facade
@@ -381,13 +339,12 @@ class Orchestrator:
         # Drop any bounded-queue commitments against the dead container —
         # the waiters themselves stay in their function FIFO.
         self._committed.pop(container.container_id, None)
-        self.metrics.evictions += 1
-        if self._m_evictions is not None:
-            self._m_evictions.labels(func=container.spec.name).inc()
+        func = container.spec.name
+        evictions = self.metrics.evictions_by_func
+        evictions[func] = evictions.get(func, 0) + 1
         if self.attribution is not None:
-            self.attribution.note_removal(container.spec.name, cause_kind,
-                                          decision_id)
-        self._log(EventKind.EVICTION, container.spec.name,
+            self.attribution.note_removal(func, cause_kind, decision_id)
+        self._log(EventKind.EVICTION, func,
                   container_id=container.container_id,
                   worker_id=worker.worker_id)
         self.policy.on_eviction([container], self.sim.now)
@@ -481,6 +438,9 @@ class Orchestrator:
             self.sim.fast_forward_hook = self._fast_forward
         self.sim.run()
         self._finalize(ordered)
+        if self.metrics_registry is not None:
+            export_run_metrics(self.metrics, self.metrics_registry,
+                               contended=self._contention is not None)
         return self.metrics.result()
 
     def _dispatch_batch(self, lo: int, hi: int) -> None:
@@ -534,8 +494,7 @@ class Orchestrator:
         worker = self._dispatch(request.func)
         self._log(EventKind.ARRIVAL, request.func, req_id=request.req_id,
                   worker_id=worker.worker_id)
-        if self._m_requests is not None:
-            self._m_requests.inc()
+        self.metrics.arrivals += 1
         self.policy.on_request_arrival(request, worker, now)
         self._route(request, worker)
 
@@ -561,8 +520,11 @@ class Orchestrator:
         # Step 1b: no idle capacity — consult the scaling policy.
         decision = self.policy.scale(request, worker, now)
         decision = self._validate_decision(decision, request, worker)
-        if self._m_decisions is not None:
-            self._m_decisions.labels(action=decision.action.value).inc()
+        # _value_ is the plain attribute behind Enum.value; keying by it
+        # skips the Python-level Enum.value and Enum.__hash__ calls.
+        action = decision.action._value_
+        decisions = self.metrics.decisions
+        decisions[action] = decisions.get(action, 0) + 1
         waiter = _Waiter(request,
                          may_use_busy=decision.action is not ScalingAction.COLD,
                          committed=decision.target)
@@ -626,8 +588,6 @@ class Orchestrator:
         self._log(EventKind.REQUEST_ORPHANED, request.func,
                   req_id=request.req_id, detail=detail, worker_id=worker_id)
         self.metrics.record_failed(request)
-        if self._m_failed is not None:
-            self._m_failed.inc()
 
     def _on_worker_crash(self, crash: CrashSpec) -> None:
         # shard: cross-worker fault plan addresses workers by global id
@@ -638,8 +598,6 @@ class Orchestrator:
         self._log(EventKind.WORKER_CRASH, "", worker_id=worker.worker_id,
                   detail=f"containers={len(worker.containers)}")
         self.metrics.worker_crashes += 1
-        if self._m_crashes is not None:
-            self._m_crashes.inc()
         if crash.restart_delay_ms is not None:
             restart_at = now + crash.restart_delay_ms
             self._restart_times.append(restart_at)
@@ -672,8 +630,6 @@ class Orchestrator:
             if event is not None:
                 event.cancel()
             self.metrics.orphaned_requests += 1
-            if self._m_orphaned is not None:
-                self._m_orphaned.inc()
             if request.retries < retry.max_retries:
                 request.retries += 1
                 request.start_ms = None
@@ -722,8 +678,6 @@ class Orchestrator:
                   req_id=request.req_id, worker_id=worker.worker_id,
                   detail=f"attempt{request.retries}")
         self.metrics.reassigned_requests += 1
-        if self._m_reassigned is not None:
-            self._m_reassigned.inc()
         # A reassignment is a new arrival from the policy's perspective:
         # frequency/popularity statistics should see the extra demand.
         self.policy.on_request_arrival(request, worker, now)
@@ -750,8 +704,6 @@ class Orchestrator:
                   req_id=request.req_id, worker_id=worker.worker_id,
                   detail="provision")
         self.metrics.reassigned_requests += 1
-        if self._m_reassigned is not None:
-            self._m_reassigned.inc()
         self._provision(self.specs[request.func], worker, waiter=waiter,
                         speculative=False)
 
@@ -805,8 +757,7 @@ class Orchestrator:
                 spec, worker, waiter, speculative, prewarm))
             self._pending_by_func[spec.name] = \
                 self._pending_by_func.get(spec.name, 0) + 1
-            if self._m_blocked is not None:
-                self._m_blocked.inc()
+            self.metrics.blocked_provisions += 1
             return None
         return self._begin_provision(spec, worker, waiter, speculative,
                                      prewarm)
@@ -822,13 +773,10 @@ class Orchestrator:
         worker.add(container)
         if waiter is not None:
             waiter.bound = container
-        if prewarm:
-            self.metrics.prewarm_starts += 1
-        else:
-            self.metrics.cold_starts_begun += 1
         self.metrics.provisioned_mb += container.memory_mb
         kind = "prewarm" if prewarm \
             else ("speculative" if speculative else "bound")
+        self.metrics.provisions[kind] += 1
         detail = kind
         if self.attribution is not None:
             cause = self.attribution.begin_provision(spec.name)
@@ -836,8 +784,6 @@ class Orchestrator:
         self._log(EventKind.PROVISION_START, spec.name,
                   container_id=container.container_id, detail=detail,
                   worker_id=worker.worker_id)
-        if self._m_provisions is not None:
-            self._m_provisions.labels(kind=kind).inc()
         self.policy.on_provision_started(container, now)
         if self._faults is not None:
             # Integrate the cold rate across straggler-window edges
@@ -963,8 +909,7 @@ class Orchestrator:
                   if container.worker else None)
         if self.recorder is not None:
             self.recorder.note_start(request.func, start_type.value, now)
-        if self._m_starts is not None:
-            self._m_starts.labels(type=start_type.value).inc()
+        self.metrics.starts[start_type._value_] += 1
         container.start_request(request, now)
         if start_type is StartType.WARM:
             self.policy.on_warm_start(container, request, now)
@@ -993,23 +938,19 @@ class Orchestrator:
         container.finish_request(request, now)
         request.end_ms = now
         detail = ""
-        if self._contention is not None:
+        if (self._contention is not None and state is not None
+                and state.slowed):
             realized = ((now - request.start_ms) / request.exec_ms
                         if request.exec_ms > 0 else 1.0)
-            if self._m_slowdown is not None:
-                self._m_slowdown.observe(realized)
-            if state is not None and state.slowed:
-                # float(): generated traces carry numpy cold-start times,
-                # and numpy >= 2 reprs its floats as "np.float64(...)".
-                detail = f"slowdown={float(realized)!r}"
+            # float(): generated traces carry numpy cold-start times,
+            # and numpy >= 2 reprs its floats as "np.float64(...)".
+            detail = f"slowdown={float(realized)!r}"
         self._log(EventKind.EXEC_END, request.func,
                   container_id=container.container_id,
                   req_id=request.req_id, detail=detail,
                   worker_id=container.worker.worker_id
                   if container.worker else None)
         self.metrics.record_request(request)
-        if self._m_wait is not None:
-            self._m_wait.observe(request.wait_ms)
         self.policy.on_request_complete(container, request, now)
         # Step 2a: the vacant slot serves queued waiters — first those
         # committed to this container, then the function's FIFO.
@@ -1252,8 +1193,6 @@ class Orchestrator:
                 self._usage.dirty = False
             used = self._used_mb_cache
         self.metrics.record_memory(self.sim.now, used)
-        if self._m_used is not None:
-            self._m_used.set(used)
 
     def _run_maintenance(self) -> None:
         self.policy.on_maintenance(self.sim.now)

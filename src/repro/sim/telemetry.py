@@ -6,12 +6,14 @@ module scales that observability to full-size replays (100k+ requests)
 and richer questions:
 
 * **Event sinks** — :class:`EventLog` fans every event out to pluggable
-  sinks. :class:`RingSink` keeps a bounded most-recent window in memory;
-  :class:`JsonlSink` streams the complete event log to disk as JSON
-  Lines with O(1) memory; :class:`SpanBuilder` folds the stream into
-  spans on the fly. Sinks are any object with ``emit(event)`` (and an
-  optional ``close()``), so new consumers plug in without touching the
-  simulator.
+  sinks (``EventLog(capacity=N)`` itself keeps the bounded most-recent
+  window in memory). :class:`JsonlSink` streams the complete event log
+  to disk as JSON Lines with O(1) memory; :class:`SpanBuilder` folds
+  the stream into spans on the fly. Sinks are any object with
+  ``emit(record)`` (and an optional ``close()``), so new consumers plug
+  in without touching the simulator. The decision audit streams through
+  the same :class:`EventSink` / :class:`JsonlSink` / :func:`read_jsonl`
+  core with a different record encoder.
 * **Request spans** — :class:`SpanBuilder` reconstructs each request's
   latency story (arrival → provision/wait → exec) and each container's
   lifecycle (provision windows, eviction) from the event stream, and
@@ -32,18 +34,17 @@ samplers observe, never mutate — pinned by the differential tests).
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.sim.eventlog import Event, EventKind, split_cause
 
 __all__ = [
-    "EventSink", "RingSink", "JsonlSink", "SpanBuilder", "RequestSpan",
+    "EventSink", "JsonlSink", "SpanBuilder", "RequestSpan",
     "ContainerTrack", "ProvisionWindow", "TimeSeriesRecorder",
     "FunctionSeries", "build_spans", "chrome_trace", "write_chrome_trace",
-    "event_to_dict", "event_from_dict", "read_events_jsonl",
+    "event_to_dict", "event_from_dict", "read_events_jsonl", "read_jsonl",
 ]
 
 
@@ -72,29 +73,38 @@ def event_from_dict(d: dict) -> Event:
                  d.get("wid"))
 
 
-def read_events_jsonl(path: Union[str, Path]) -> List[Event]:
-    """Load an event stream written by :class:`JsonlSink`."""
-    events = []
+def read_jsonl(path: Union[str, Path],
+               decode: Optional[Callable[[dict], object]] = None) -> list:
+    """Load the records a :class:`JsonlSink` wrote, one per non-blank
+    line, each passed through ``decode`` (None keeps the plain dicts)."""
+    records = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if line:
-                events.append(event_from_dict(json.loads(line)))
-    return events
+                record = json.loads(line)
+                records.append(record if decode is None else decode(record))
+    return records
+
+
+def read_events_jsonl(path: Union[str, Path]) -> List[Event]:
+    """Load an event stream written by :class:`JsonlSink`."""
+    return read_jsonl(path, event_from_dict)
 
 
 # ======================================================================
 # Sinks
 
 class EventSink:
-    """Interface for event consumers attached to an :class:`EventLog`.
+    """Interface for record consumers attached to a
+    :class:`~repro.sim.eventlog.RecordLog` (event log or decision audit).
 
-    ``emit`` is called once per recorded event, in simulation order;
-    ``close`` flushes/releases resources (idempotent). Sinks must never
-    mutate simulator state — telemetry observes, it does not steer.
+    ``emit`` is called once per record, in simulation order; ``close``
+    flushes/releases resources (idempotent). Sinks must never mutate
+    simulator state — telemetry observes, it does not steer.
     """
 
-    def emit(self, event: Event) -> None:
+    def emit(self, record) -> None:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -107,47 +117,28 @@ class EventSink:
         self.close()
 
 
-class RingSink(EventSink):
-    """Bounded in-memory sink keeping only the newest ``capacity`` events."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.events: deque = deque(maxlen=capacity)
-        self.emitted = 0
-        self.dropped = 0
-
-    def emit(self, event: Event) -> None:
-        if len(self.events) == self.capacity:
-            self.dropped += 1
-        self.events.append(event)
-        self.emitted += 1
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-
 class JsonlSink(EventSink):
-    """Streams every event to ``path`` as JSON Lines, O(1) memory.
+    """Streams every record to ``path`` as JSON Lines, O(1) memory.
 
-    The file is line-buffered through a plain text handle; ``close()``
-    (or context-manager exit) flushes it. Reload with
-    :func:`read_events_jsonl` for a bit-exact round trip.
+    ``encode`` turns a record into a JSON-ready dict (events by default;
+    None writes records that already are one). The file is written
+    through a plain text handle; ``close()`` (or context-manager exit)
+    flushes it. Reload with :func:`read_events_jsonl` /
+    :func:`read_jsonl` for a bit-exact round trip.
     """
 
-    def __init__(self, path: Union[str, Path]):
+    def __init__(self, path: Union[str, Path],
+                 encode: Optional[Callable[[object], dict]] = event_to_dict):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "w")
+        self._encode = encode
         self.emitted = 0
 
-    def emit(self, event: Event) -> None:
-        self._fh.write(json.dumps(event_to_dict(event),
-                                  separators=(",", ":")) + "\n")
+    def emit(self, record) -> None:
+        if self._encode is not None:
+            record = self._encode(record)
+        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
         self.emitted += 1
 
     def close(self) -> None:

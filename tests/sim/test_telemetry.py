@@ -18,7 +18,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.eventlog import Event, EventKind, EventLog
 from repro.sim.orchestrator import Orchestrator
 from repro.sim.request import StartType
-from repro.sim.telemetry import (JsonlSink, RingSink, SpanBuilder,
+from repro.sim.telemetry import (JsonlSink, SpanBuilder,
                                  TimeSeriesRecorder, build_spans,
                                  chrome_trace, event_from_dict,
                                  event_to_dict, read_events_jsonl,
@@ -94,19 +94,15 @@ class TestSerialization:
         assert len(read_events_jsonl(path)) == 1
 
 
-class TestRingSink:
+class TestBoundedEventLog:
     def test_keeps_newest(self):
-        ring = RingSink(capacity=3)
+        ring = EventLog(capacity=3)
         for i in range(10):
-            ring.emit(Event(float(i), EventKind.ARRIVAL, "fn", req_id=i))
+            ring.record(float(i), EventKind.ARRIVAL, "fn", req_id=i)
         assert len(ring) == 3
         assert [e.req_id for e in ring] == [7, 8, 9]
-        assert ring.emitted == 10
+        assert ring.recorded == 10
         assert ring.dropped == 7
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            RingSink(0)
 
 
 class TestBoundedPressureReplay:
@@ -117,8 +113,7 @@ class TestBoundedPressureReplay:
     def test_ring_bounded_with_complete_jsonl(self, tmp_path):
         trace = azure_trace(seed=1, total_requests=20_000)
         jsonl = JsonlSink(tmp_path / "pressure.jsonl")
-        ring = RingSink(capacity=256)
-        log = EventLog(capacity=4_096, sinks=(jsonl, ring))
+        log = EventLog(capacity=4_096, sinks=(jsonl,))
         _, result = replay(trace, capacity_gb=2.0, event_log=log)
         log.close()
 
@@ -131,8 +126,6 @@ class TestBoundedPressureReplay:
         assert len(loaded) == log.recorded
         # The bounded buffer holds exactly the newest events.
         assert loaded[-len(log):] == list(log)
-        assert ring.emitted == log.recorded
-        assert list(ring) == loaded[-len(ring):]
 
 
 # ======================================================================
