@@ -19,17 +19,15 @@ if ! preflight_err="$(python -c 'import repro, repro.cli, repro.lint' 2>&1)"; th
     exit 1
 fi
 
-echo "== repro-lint (determinism / purity / FP-discipline) =="
-# Human output for the log, then the JSON surface the tooling consumes.
-python -m repro.lint src/repro
+echo "== repro-lint (determinism / purity / FP-discipline / shard safety / units) =="
+# One run: the per-file rules and the whole-program analyses, gated on
+# the committed lint-baseline.json. Every cross-worker access must carry
+# a `# shard:` annotation or a reasoned baseline entry; the run's site
+# inventory is written as a CI artifact for the sharded-engine work
+# (ROADMAP item 2). Human output for the log, then the JSON surface the
+# tooling consumes.
+python -m repro.lint src/repro --shard-report shard-report.json
 python -m repro.lint src/repro --format json > /dev/null
-
-echo "== repro-lint --deep (shard safety / transitive purity / units) =="
-# Whole-program pass, gated on its own committed baseline
-# (lint-deep-baseline.json). Every cross-worker access must carry a
-# `# shard:` annotation or a reasoned baseline entry; the inventory is
-# written as a CI artifact for the sharded-engine work (ROADMAP item 2).
-python -m repro.lint --deep src/repro --shard-report shard-report.json
 python - <<'EOF'
 import json
 

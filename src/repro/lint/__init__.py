@@ -9,12 +9,15 @@ checkable rules:
   sim objects);
 * ``FPX0xx`` — float-summation-order discipline (no ``sum()`` over
   unordered iterables in accounting code);
-* ``API0xx`` — unit hygiene (``_ms`` vs ``_s``, ``_mb`` vs ``_gb``).
+* ``API0xx`` — unit hygiene (``_ms`` vs ``_s``, ``_mb`` vs ``_gb``);
+* ``SHD0xx``, ``PUR003``, ``API002`` — the whole-program rules
+  (:mod:`repro.lint.deep`): shard safety, transitive observer purity
+  and cross-function dimension inference over a project-wide symbol
+  table and call graph.
 
-Under ``--deep`` the whole-program layer (:mod:`repro.lint.deep`)
-additionally runs shard-safety (``SHD0xx``), transitive observer
-purity (``PUR003``) and cross-function dimension inference
-(``API002``) over a project-wide symbol table and call graph.
+Every run is one pass (:func:`lint_paths`): the package is indexed and
+parsed once, every rule runs on it, and one suppression pass and one
+baseline (``lint-baseline.json``) apply to all findings.
 
 Run it with ``python -m repro.lint [paths]``, the ``repro-lint``
 console script, or ``cidre-sim lint``. See
@@ -23,13 +26,12 @@ console script, or ``cidre-sim lint``. See
 """
 
 from repro.lint.engine import (LintReport, lint_paths, lint_source,
-                               load_baseline, update_baseline_file,
-                               write_baseline)
+                               load_baseline, update_baseline_file)
 from repro.lint.findings import Finding
 from repro.lint.rules import Checker, Rule, all_rules, register
 
 __all__ = [
     "Checker", "Finding", "LintReport", "Rule", "all_rules",
     "lint_paths", "lint_source", "load_baseline", "register",
-    "update_baseline_file", "write_baseline",
+    "update_baseline_file",
 ]

@@ -5,18 +5,16 @@ console script) and embedded (the ``lint`` verb of ``cidre-sim``) share
 the same argument schema via :func:`add_lint_arguments` /
 :func:`run_lint`.
 
-Two engines sit behind the one front end:
+Every run is the one :func:`~repro.lint.engine.lint_paths` pass: the
+per-file rules and the whole-program analyses (shard safety, transitive
+purity, dimension inference) together, gated on the one committed
+``lint-baseline.json``. ``--shard-report FILE`` writes the
+``shard-report.json`` inventory of the same run.
 
-* the classic file-local rules (default) gated on
-  ``lint-baseline.json``;
-* the whole-program analyses (``--deep``: shard safety, transitive
-  purity, dimension inference) gated on ``lint-deep-baseline.json``,
-  optionally emitting the ``shard-report.json`` inventory via
-  ``--shard-report``.
-
-``--changed [REF]`` restricts either engine to files differing from a
-git ref (default ``HEAD``) — the fast pre-commit path. ``--format
-github`` renders findings as GitHub Actions workflow annotations.
+``--changed [REF]`` restricts the findings to files differing from a
+git ref (default ``HEAD``) — the pre-commit path; the whole package is
+still indexed. ``--format github`` renders findings as GitHub Actions
+workflow annotations.
 
 Exit codes: 0 clean, 1 findings remain, 2 usage/IO error.
 """
@@ -30,9 +28,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.engine import (BASELINE_FILENAME, find_default_baseline,
-                               iter_python_files, lint_paths,
-                               load_baseline, update_baseline_file)
+from repro.lint.engine import (BASELINE_FILENAME, PARSE_ERROR,
+                               find_default_baseline, iter_python_files,
+                               lint_paths, load_baseline,
+                               update_baseline_file)
 from repro.lint.findings import Finding
 from repro.lint.rules import all_rules
 
@@ -49,8 +48,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--baseline", metavar="FILE", default=None,
         help="baseline JSON of grandfathered findings (default: "
-             "lint-baseline.json — or lint-deep-baseline.json with "
-             "--deep — discovered at the repo root)")
+             "lint-baseline.json discovered at the repo root)")
     parser.add_argument(
         "--no-baseline", action="store_true",
         help="ignore any baseline file")
@@ -66,14 +64,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--rules", action="store_true",
         help="print the rule catalogue and exit")
     parser.add_argument(
-        "--deep", action="store_true",
-        help="run the whole-program analyses (shard safety SHD0xx, "
-             "transitive purity PUR003, dimension inference API002) "
-             "instead of the file-local rules")
-    parser.add_argument(
         "--shard-report", metavar="FILE", default=None,
-        help="with --deep: write the machine-readable shard-safety "
-             "site inventory (shard-report.json) to FILE")
+        help="write the machine-readable shard-safety site inventory "
+             "(shard-report.json) to FILE")
     parser.add_argument(
         "--changed", metavar="REF", nargs="?", const="HEAD",
         default=None,
@@ -83,15 +76,9 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _print_rules() -> None:
-    from repro.lint.deep import deep_rules
     for rule in all_rules():
         scopes = ", ".join(rule.scopes) if rule.scopes else "everywhere"
         print(f"{rule.code} [{rule.severity}] {rule.name}  ({scopes})")
-        print(f"    {rule.rationale}")
-    for rule in deep_rules():
-        scopes = ", ".join(rule.scopes) if rule.scopes else "everywhere"
-        print(f"{rule.code} [{rule.severity}] {rule.name}  "
-              f"({scopes}) [--deep]")
         print(f"    {rule.rationale}")
 
 
@@ -164,15 +151,16 @@ def run_lint(args: argparse.Namespace) -> int:
         _print_rules()
         return 0
 
-    if args.shard_report and not args.deep:
-        print("repro-lint: --shard-report requires --deep",
-              file=sys.stderr)
-        return 2
-
     select = None
     if args.select:
         select = tuple(code.strip().upper()
                        for code in args.select.split(",") if code.strip())
+        known = {rule.code for rule in all_rules()} | {PARSE_ERROR}
+        unknown = [code for code in select if code not in known]
+        if unknown:
+            print(f"repro-lint: --select: unknown rule code(s) "
+                  f"{', '.join(unknown)} (see --rules)", file=sys.stderr)
+            return 2
 
     paths = args.paths
     if args.changed is not None:
@@ -189,18 +177,9 @@ def run_lint(args: argparse.Namespace) -> int:
             return 0
         paths = changed
 
-    if args.deep:
-        from repro.lint.deep import (DEEP_BASELINE_FILENAME,
-                                     deep_lint_paths, find_deep_baseline)
-        default_name = DEEP_BASELINE_FILENAME
-        find_baseline = find_deep_baseline
-    else:
-        default_name = BASELINE_FILENAME
-        find_baseline = find_default_baseline
-
     baseline_path = None
     if not args.no_baseline:
-        baseline_path = args.baseline or find_baseline(paths)
+        baseline_path = args.baseline or find_default_baseline(paths)
 
     baseline = None
     if baseline_path is not None and not args.update_baseline:
@@ -211,26 +190,22 @@ def run_lint(args: argparse.Namespace) -> int:
                   f"{exc}", file=sys.stderr)
             return 2
 
-    shard = None
     try:
-        if args.deep:
-            report, shard = deep_lint_paths(paths, baseline=baseline,
-                                            select=select)
-        else:
-            report = lint_paths(paths, baseline=baseline, select=select)
+        report = lint_paths(paths, baseline=baseline, select=select)
     except FileNotFoundError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
 
-    if args.shard_report and shard is not None:
+    if args.shard_report:
         Path(args.shard_report).write_text(
-            json.dumps(shard, indent=2) + "\n")
+            json.dumps(report.shard, indent=2) + "\n")
 
     if args.update_baseline:
-        target = args.baseline or baseline_path or default_name
+        target = args.baseline or baseline_path or BASELINE_FILENAME
         try:
             written, pruned = update_baseline_file(
-                target, report.findings, iter_python_files(paths))
+                target, report.findings, iter_python_files(paths),
+                select=select)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             print(f"repro-lint: cannot update baseline {target}: "
                   f"{exc}", file=sys.stderr)
@@ -242,10 +217,7 @@ def run_lint(args: argparse.Namespace) -> int:
         return 0
 
     if args.format == "json":
-        payload = report.to_dict()
-        if shard is not None:
-            payload["shard"] = shard["summary"]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(report.to_dict(), indent=2))
     elif args.format == "github":
         _print_github(report.findings)
         print(("FAIL: " if report.findings else "OK: ")
@@ -261,7 +233,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro-lint",
         description="AST-based determinism/purity/FP-discipline linter "
                     "for the CIDRE reproduction, with whole-program "
-                    "shard-safety analysis under --deep.")
+                    "shard-safety, purity and unit analyses.")
     add_lint_arguments(parser)
     args = parser.parse_args(argv)
     return run_lint(args)

@@ -1,51 +1,36 @@
-"""Whole-program analyses for repro-lint (``repro-lint --deep``).
+"""Whole-program analyses for repro-lint.
 
-The classic engine lints one file at a time; this package indexes the
-entire ``repro`` package (symbol table + call graph) and runs the three
-interprocedural analyses on it:
+The per-file checkers see one tree at a time; this package works on the
+:class:`ProjectIndex` of the entire ``repro`` package (symbol table +
+call graph) and runs the three interprocedural analyses on it:
 
 * :mod:`repro.lint.deep.shard`  — SHD001/SHD002 shard-safety and the
-  ``shard-report.json`` inventory feeding ROADMAP item 2;
+  ``shard-report.json`` inventory;
 * :mod:`repro.lint.deep.purity` — PUR003 transitive observer purity;
 * :mod:`repro.lint.deep.units`  — API002 cross-function dimension
   inference.
 
-:func:`deep_lint_paths` is the driver the CLI calls: it discovers the
-package root governing the requested paths, indexes *everything* under
-it (whole-program analyses are only sound with the whole program), then
-filters findings back to the files actually requested. Inline
-``# repro-lint: disable=`` suppressions and the baseline protocol work
-exactly as in the classic engine, but against a separate committed
-file — :data:`DEEP_BASELINE_FILENAME` — so grandfathering a deep
-finding never loosens the classic gate.
+Every lint run calls :func:`deep_findings` on the index it builds
+(:func:`repro.lint.engine.lint_paths`), so these findings pass through
+the same inline suppressions and the same ``lint-baseline.json`` as the
+per-file rules.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
-from repro.lint.engine import (
-    LintReport,
-    _suppressions,
-    iter_python_files,
-    relpath_of,
-)
 from repro.lint.findings import Finding
 from repro.lint.rules import Rule
 from repro.lint.deep.callgraph import CallGraph
 from repro.lint.deep.purity import PURITY_SCOPES, purity_findings
 from repro.lint.deep.shard import SHARD_SCOPES, ShardAnalysis
-from repro.lint.deep.symbols import ProjectIndex, find_package_root
+from repro.lint.deep.symbols import ProjectIndex
 from repro.lint.deep.units import units_findings
 
-#: Committed baseline for deep findings (same schema/keying as the
-#: classic ``lint-baseline.json``, separate file).
-DEEP_BASELINE_FILENAME = "lint-deep-baseline.json"
-
-#: Rule catalogue for ``--rules`` (the deep analyses are not Checker
-#: subclasses — they need the whole project, not one tree — but their
-#: metadata lives in the same format).
+#: Catalogue entries of the whole-program rules. They are not Checker
+#: subclasses (they need the whole project, not one tree), but their
+#: metadata has the same format; ``all_rules()`` lists them too.
 DEEP_RULES = (
     Rule(code="SHD001", name="unannotated-cross-worker",
          severity="error", scopes=SHARD_SCOPES,
@@ -76,48 +61,9 @@ DEEP_RULES = (
 )
 
 
-def deep_rules() -> List[Rule]:
-    return sorted(DEEP_RULES, key=lambda r: r.code)
-
-
-def find_deep_baseline(paths: Sequence[Union[str, Path]]
-                       ) -> Optional[Path]:
-    """Walk up from the linted paths to the committed deep baseline."""
-    for start in list(paths) or [Path.cwd()]:
-        node = Path(start).resolve()
-        if node.is_file():
-            node = node.parent
-        for parent in (node, *node.parents):
-            candidate = parent / DEEP_BASELINE_FILENAME
-            if candidate.is_file():
-                return candidate
-            if (parent / "pyproject.toml").is_file():
-                break
-    return None
-
-
-def build_project(paths: Sequence[Union[str, Path]]
-                  ) -> Tuple[ProjectIndex, List[Path]]:
-    """Index the package governing ``paths``.
-
-    Returns the index plus the concrete files the user asked about
-    (findings are filtered to those). When the paths are not under a
-    ``repro`` package directory the given files alone form the project
-    (string fixtures in tests use :meth:`ProjectIndex.add_source`
-    directly).
-    """
-    files = iter_python_files(paths)
-    root = find_package_root(files if files else list(paths))
-    if root is not None:
-        project = ProjectIndex.build(root)
-    else:
-        project = ProjectIndex.build_files(files)
-    return project, files
-
-
 def deep_findings(project: ProjectIndex
                   ) -> Tuple[List[Finding], Dict]:
-    """All deep findings plus the shard-report payload."""
+    """All whole-program findings plus the shard-report payload."""
     graph = CallGraph.build(project)
     shard = ShardAnalysis(project).run()
     findings = list(shard.findings)
@@ -127,75 +73,9 @@ def deep_findings(project: ProjectIndex
     return findings, shard.report(root="src/repro")
 
 
-def deep_lint_paths(paths: Sequence[Union[str, Path]],
-                    baseline: Optional[Sequence[dict]] = None,
-                    select: Optional[Tuple[str, ...]] = None
-                    ) -> Tuple[LintReport, Dict]:
-    """Run the deep analyses for ``paths``.
-
-    Returns ``(report, shard_report)``. The shard report always covers
-    the whole project — it is an inventory, not a diagnostic — while
-    the report's findings are filtered to the requested files.
-    """
-    project, files = build_project(paths)
-    requested = {relpath_of(f) for f in files}
-    all_findings, shard = deep_findings(project)
-
-    report = LintReport()
-    report.files = len(files)
-    kept: List[Finding] = []
-    for finding in all_findings:
-        if requested and finding.path not in requested:
-            continue
-        if select is not None and finding.rule not in select:
-            continue
-        module = _module_for(project, finding.path)
-        if module is not None:
-            table = _suppressions(module.lines)
-            codes = table.get(finding.line, ())
-            if "ALL" in codes or finding.rule in codes:
-                report.suppressed += 1
-                continue
-        kept.append(finding)
-
-    if baseline:
-        matched = set()
-        by_key: Dict[tuple, List[int]] = {}
-        for i, entry in enumerate(baseline):
-            by_key.setdefault(
-                (entry["rule"], entry["path"], entry["line_text"]),
-                []).append(i)
-        survived = []
-        for finding in kept:
-            indexes = by_key.get(finding.baseline_key())
-            if indexes:
-                report.baselined += 1
-                matched.update(indexes)
-            else:
-                survived.append(finding)
-        kept = survived
-        report.stale_baseline = [entry for i, entry in
-                                 enumerate(baseline) if i not in matched]
-
-    report.findings = sorted(kept, key=Finding.sort_key)
-    return report, shard
-
-
-def _module_for(project: ProjectIndex, relpath: str):
-    for module in project.modules.values():
-        if module.relpath == relpath:
-            return module
-    return None
-
-
 __all__ = [
-    "DEEP_BASELINE_FILENAME",
     "DEEP_RULES",
     "CallGraph",
     "ProjectIndex",
-    "build_project",
     "deep_findings",
-    "deep_lint_paths",
-    "deep_rules",
-    "find_deep_baseline",
 ]

@@ -37,8 +37,9 @@ Rules:
   ownership disagrees with the computed one.
 
 Besides findings, the analysis emits the full site inventory —
-:func:`shard_report` — which CI writes to ``shard-report.json``: the
-work-list for the sharded engine's merge protocol.
+:meth:`ShardAnalysis.report` — which ``--shard-report`` (and CI) writes
+to ``shard-report.json``: the work-list for the sharded engine's merge
+protocol.
 """
 
 from __future__ import annotations
@@ -428,6 +429,3 @@ class ShardAnalysis:
             "sites": [s.to_dict() for s in self.sites],
         }
 
-
-def shard_report(project: ProjectIndex, root: str = "src/repro") -> Dict:
-    return ShardAnalysis(project).run().report(root)

@@ -41,7 +41,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.lint.engine import relpath_of
+
+def relpath_of(path: Union[str, Path]) -> str:
+    """Package-relative path (``repro/sim/worker.py``) of a source file.
+
+    Falls back to the basename when the file is not under a ``repro``
+    package directory, so arbitrary paths still lint with stable keys.
+    """
+    parts = Path(path).resolve().parts
+    for i in range(len(parts) - 1, -1, -1):
+        if parts[i] == "repro":
+            return "/".join(parts[i:])
+    return Path(path).name
 
 
 # ======================================================================
@@ -97,14 +108,15 @@ class ClassInfo:
 
 @dataclass
 class ModuleInfo:
-    """One parsed source file."""
+    """One source file: parsed, or carrying the error that stopped it."""
 
     modname: str                  #: ``repro.sim.worker``
     relpath: str                  #: ``repro/sim/worker.py``
     path: Optional[Path]          #: filesystem path (None for strings)
-    tree: ast.Module
+    tree: Optional[ast.Module]    #: None when the source does not parse
     source: str
     lines: List[str]
+    error: Optional[SyntaxError] = None  #: why ``tree`` is None
     #: local name -> fully dotted target (module or module.symbol).
     imports: Dict[str, str] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
@@ -281,6 +293,9 @@ class ProjectIndex:
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
+        #: resolved filesystem path -> module, for every source added
+        #: with its path, including sources that do not parse.
+        self.files: Dict[Path, ModuleInfo] = {}
         #: qualname -> ClassInfo / FunctionInfo, project-wide.
         self.classes: Dict[str, ClassInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
@@ -312,22 +327,20 @@ class ProjectIndex:
         return index
 
     def add_source(self, source: str, relpath: str,
-                   path: Optional[Path] = None) -> Optional[ModuleInfo]:
-        """Parse and index one source string (None on syntax errors —
-        the classic linter reports those as E999)."""
-        try:
-            tree = ast.parse(source, filename=relpath)
-        except SyntaxError:
-            return None
-        modname = relpath[:-3].replace("/", ".")
-        if modname.endswith(".__init__"):
-            modname = modname[:-len(".__init__")]
-        info = ModuleInfo(modname=modname, relpath=relpath, path=path,
-                          tree=tree, source=source,
-                          lines=source.splitlines())
-        _ModuleCollector(info).visit(tree)
-        self.modules[modname] = info
-        return info
+                   path: Optional[Path] = None) -> ModuleInfo:
+        """Parse one source string and index it.
+
+        A source that does not parse comes back with ``tree`` None and
+        its ``error`` set, and stays out of the index: the whole-program
+        analyses never see it, and the lint driver reports it as E999.
+        """
+        module = parse_module(source, relpath, path)
+        if path is not None:
+            self.files[path.resolve()] = module
+        if module.tree is not None:
+            _ModuleCollector(module).visit(module.tree)
+            self.modules[module.modname] = module
+        return module
 
     def finalize(self) -> None:
         """Build the project-wide qualname maps (after add_source calls)."""
@@ -535,6 +548,21 @@ class ProjectIndex:
         return out
 
 
+def parse_module(source: str, relpath: str,
+                 path: Optional[Path] = None) -> ModuleInfo:
+    """A :class:`ModuleInfo` for ``source``, not yet indexed."""
+    modname = relpath[:-3].replace("/", ".")
+    if modname.endswith(".__init__"):
+        modname = modname[:-len(".__init__")]
+    try:
+        tree, error = ast.parse(source, filename=relpath), None
+    except SyntaxError as exc:
+        tree, error = None, exc
+    return ModuleInfo(modname=modname, relpath=relpath, path=path,
+                      tree=tree, source=source,
+                      lines=source.splitlines(), error=error)
+
+
 def _c3_merge(sequences: List[List[ClassInfo]]) -> List[ClassInfo]:
     """Standard C3 merge; raises ValueError on inconsistent input."""
     result: List[ClassInfo] = []
@@ -558,9 +586,9 @@ def find_package_root(paths: Iterable[Union[str, Path]]) -> Optional[Path]:
     """The ``repro`` package directory governing ``paths``, if any.
 
     Walks each path's resolved parts looking for a ``repro`` component;
-    the whole-program analyses index everything under it even when the
-    user asked to lint a single file (findings are filtered back to the
-    requested paths by the driver).
+    the lint driver indexes everything under it even when the user
+    asked to lint a single file (findings are filtered back to the
+    requested paths).
     """
     for path in paths:
         parts = Path(path).resolve().parts

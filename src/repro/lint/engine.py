@@ -1,8 +1,12 @@
-"""repro-lint driver: file discovery, suppressions, baseline, reports.
+"""repro-lint driver: one run, one parse, one suppression and baseline pass.
 
-Pipeline per file: parse -> run every in-scope checker -> drop findings
-suppressed inline (``# repro-lint: disable=RULE``) -> drop findings
-matched by the committed baseline. Whatever survives fails the lint.
+:func:`lint_paths` indexes the ``repro`` package governing the requested
+paths (:class:`~repro.lint.deep.symbols.ProjectIndex`), so every file is
+parsed once. Each requested file then gets the registered per-file
+checkers on its tree (or ``E999`` when it does not parse) together with
+the whole-program findings (:mod:`repro.lint.deep`) located in it. One
+inline-suppression pass and one baseline pass apply to both alike;
+whatever survives fails the lint.
 
 **Inline suppressions** live on the flagged line or on a standalone
 comment line directly above it::
@@ -16,23 +20,30 @@ comment line directly above it::
 
 ``disable=all`` silences every rule for that line.
 
-**Baseline** (:func:`load_baseline` / :func:`write_baseline`) is a JSON
-file of grandfathered findings keyed by ``(rule, path, stripped line
-text)`` — *not* line numbers — so unrelated edits do not invalidate it.
-Each entry carries a mandatory ``reason`` so exemptions stay explained.
-Entries that no longer match anything are reported as *stale* so the
+**Baseline** (:func:`load_baseline` / :func:`update_baseline_file`) is
+the JSON file ``lint-baseline.json`` of grandfathered findings keyed by
+``(rule, path, stripped line text)`` — *not* line numbers — so
+unrelated edits do not invalidate it, and an entry can only ever
+silence its own rule. Each entry carries a mandatory ``reason`` so
+exemptions stay explained. An entry that matched nothing is reported
+as *stale* when its path was linted and its rule ran, or when its file
+no longer exists (the entries ``--update-baseline`` prunes), so the
 baseline shrinks over time instead of rotting.
 """
 
 from __future__ import annotations
 
-import ast
 import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Collection, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
+from repro.lint.deep import deep_findings
+from repro.lint.deep.symbols import (ModuleInfo, ProjectIndex,
+                                     find_package_root, parse_module,
+                                     relpath_of)
 from repro.lint.findings import Finding
 from repro.lint.rules import FileContext, checkers_for
 
@@ -41,23 +52,12 @@ _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 BASELINE_VERSION = 1
 #: Default committed baseline filename, discovered at the repo root.
 BASELINE_FILENAME = "lint-baseline.json"
+#: Rule code of a file that does not parse (reported whatever --select).
+PARSE_ERROR = "E999"
 
 
 # ======================================================================
 # Per-file linting
-
-
-def relpath_of(path: Union[str, Path]) -> str:
-    """Package-relative path (``repro/sim/worker.py``) of a source file.
-
-    Falls back to the basename when the file is not under a ``repro``
-    package directory, so arbitrary paths still lint with stable keys.
-    """
-    parts = Path(path).resolve().parts
-    for i in range(len(parts) - 1, -1, -1):
-        if parts[i] == "repro":
-            return "/".join(parts[i:])
-    return Path(path).name
 
 
 def _suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
@@ -84,29 +84,27 @@ def _suppressions(lines: Sequence[str]) -> Dict[int, Set[str]]:
     return table
 
 
-def lint_source(source: str, relpath: str = "repro/module.py",
-                select: Optional[Tuple[str, ...]] = None
-                ) -> Tuple[List[Finding], int]:
-    """Lint one source string; returns ``(findings, suppressed_count)``.
-
-    Findings are sorted by location. ``relpath`` controls rule scoping
-    (e.g. pass ``repro/sim/x.py`` to enable the sim-scoped rules).
-    """
-    ctx = FileContext(source, relpath)
-    try:
-        tree = ast.parse(source, filename=relpath)
-    except SyntaxError as exc:
-        finding = Finding(
-            rule="E999", severity="error", path=relpath,
+def _lint_module(module: ModuleInfo,
+                 select: Optional[Tuple[str, ...]] = None,
+                 located: Iterable[Finding] = ()
+                 ) -> Tuple[List[Finding], int]:
+    """The per-file checkers on ``module`` plus the whole-program
+    findings ``located`` in it, less inline suppressions; returns
+    ``(findings, suppressed_count)``. A module that did not parse
+    yields its E999 alone."""
+    if module.tree is None:
+        exc = module.error
+        return [Finding(
+            rule=PARSE_ERROR, severity="error", path=module.relpath,
             line=exc.lineno or 1, col=(exc.offset or 1) - 1,
             message=f"syntax error: {exc.msg}",
-            line_text=ctx.line_text(exc.lineno or 1))
-        return [finding], 0
-    findings: List[Finding] = []
-    for checker in checkers_for(ctx, select=select):
-        checker.visit(tree)
+            line_text=module.line_text(exc.lineno or 1))], 0
+    findings = list(located)
+    for checker in checkers_for(FileContext(module.source, module.relpath),
+                                select=select):
+        checker.visit(module.tree)
         findings.extend(checker.findings)
-    table = _suppressions(ctx.lines)
+    table = _suppressions(module.lines)
     kept, suppressed = [], 0
     for finding in sorted(findings, key=Finding.sort_key):
         codes = table.get(finding.line, ())
@@ -115,6 +113,20 @@ def lint_source(source: str, relpath: str = "repro/module.py",
         else:
             kept.append(finding)
     return kept, suppressed
+
+
+def lint_source(source: str, relpath: str = "repro/module.py",
+                select: Optional[Tuple[str, ...]] = None
+                ) -> Tuple[List[Finding], int]:
+    """Run the per-file checkers on one source string; returns
+    ``(findings, suppressed_count)``.
+
+    Findings are sorted by location. ``relpath`` controls rule scoping
+    (e.g. pass ``repro/sim/x.py`` to enable the sim-scoped rules). The
+    whole-program rules need a project and run only in
+    :func:`lint_paths`.
+    """
+    return _lint_module(parse_module(source, relpath), select)
 
 
 # ======================================================================
@@ -137,41 +149,47 @@ def load_baseline(path: Union[str, Path]) -> List[dict]:
     return entries
 
 
-def write_baseline(path: Union[str, Path], findings: Sequence[Finding],
-                   reasons: Optional[Dict[tuple, str]] = None) -> None:
-    """Serialize ``findings`` as a baseline file (sorted, de-duplicated)."""
-    reasons = reasons or {}
-    seen = set()
-    entries = []
-    for finding in sorted(findings, key=Finding.sort_key):
-        key = finding.baseline_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        entries.append({
-            "rule": finding.rule,
-            "path": finding.path,
-            "line_text": finding.line_text,
-            "reason": reasons.get(key, "grandfathered; justify or fix"),
-        })
-    payload = {"version": BASELINE_VERSION, "entries": entries}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=False)
-                          + "\n")
+def _run_covers(entry: dict, linted: Collection[str],
+              select: Optional[Tuple[str, ...]]) -> bool:
+    """Whether a run over the ``linted`` relpaths with ``select`` could
+    have matched ``entry``: its path was linted and its rule ran."""
+    return entry["path"] in linted and (
+        select is None or entry["rule"] in select
+        or entry["rule"] == PARSE_ERROR)
+
+
+def _path_roots(files: Iterable[Union[str, Path]]) -> Set[str]:
+    """Filesystem prefixes that package-relative paths resolve against
+    (``/repo/src/`` for ``/repo/src/repro/x.py`` -> ``repro/x.py``)."""
+    roots: Set[str] = set()
+    for file in files:
+        rel = relpath_of(file)
+        fs = Path(file).resolve().as_posix()
+        if fs.endswith(rel):
+            roots.add(fs[:len(fs) - len(rel)])
+    return roots
+
+
+def _file_gone(entry: dict, roots: Collection[str]) -> bool:
+    """Whether ``entry``'s file no longer exists under any of ``roots``:
+    such an entry can never match again, whatever the run lints."""
+    return bool(roots) and not any(Path(root + entry["path"]).is_file()
+                                   for root in roots)
 
 
 def update_baseline_file(path: Union[str, Path],
                          findings: Sequence[Finding],
-                         linted_files: Sequence[Union[str, Path]]
+                         linted_files: Sequence[Union[str, Path]],
+                         select: Optional[Tuple[str, ...]] = None
                          ) -> Tuple[int, int]:
-    """Rewrite the baseline at ``path`` from ``findings``, merging.
+    """Write the baseline at ``path`` from ``findings``, merging.
 
-    * entries for files inside the linted scope are replaced by the
-      current findings, **preserving the reason** of any entry whose
-      ``(rule, path, line_text)`` key still matches;
-    * entries for files outside the linted scope are kept verbatim —
-      unless their file no longer exists on disk, in which case they
-      are pruned (a deleted file can never match again, so keeping the
-      entry is permanent stale noise).
+    * entries the run could have matched (path linted, rule run) are
+      replaced by the current findings, **preserving the reason** of
+      any entry whose ``(rule, path, line_text)`` key still matches;
+    * other entries are kept verbatim — unless their file no longer
+      exists on disk, in which case they are pruned (a deleted file can
+      never match again, so keeping the entry is permanent stale noise).
 
     Returns ``(written, pruned)`` entry counts.
     """
@@ -180,14 +198,7 @@ def update_baseline_file(path: Union[str, Path],
         existing = load_baseline(path)
 
     linted_rel = {relpath_of(f) for f in linted_files}
-    # Filesystem prefixes that package-relative paths resolve against
-    # (``/repo/src/`` for ``/repo/src/repro/x.py`` -> ``repro/x.py``).
-    roots: Set[str] = set()
-    for file in linted_files:
-        rel = relpath_of(file)
-        fs = Path(file).resolve().as_posix()
-        if fs.endswith(rel):
-            roots.add(fs[:len(fs) - len(rel)])
+    roots = _path_roots(linted_files)
 
     reasons: Dict[tuple, str] = {}
     keep_outside: List[dict] = []
@@ -196,14 +207,12 @@ def update_baseline_file(path: Union[str, Path],
         key = (entry["rule"], entry["path"], entry["line_text"])
         reasons.setdefault(key, entry.get(
             "reason", "grandfathered; justify or fix"))
-        if entry["path"] in linted_rel:
+        if _run_covers(entry, linted_rel, select):
             continue  # refreshed from the current findings below
-        exists = (any(Path(root + entry["path"]).is_file()
-                      for root in roots) if roots else True)
-        if exists:
-            keep_outside.append(entry)
-        else:
+        if _file_gone(entry, roots):
             pruned += 1
+        else:
+            keep_outside.append(entry)
 
     seen = set()
     entries: List[dict] = []
@@ -260,6 +269,8 @@ class LintReport:
     baselined: int = 0
     files: int = 0
     stale_baseline: List[dict] = field(default_factory=list)
+    #: the ``shard-report.json`` inventory of the indexed package.
+    shard: Optional[dict] = None
 
     @property
     def clean(self) -> bool:
@@ -272,7 +283,7 @@ class LintReport:
         return counts
 
     def to_dict(self) -> dict:
-        return {
+        payload = {
             "version": 1,
             "clean": self.clean,
             "files": self.files,
@@ -282,6 +293,9 @@ class LintReport:
             "findings": [f.to_dict() for f in self.findings],
             "stale_baseline": list(self.stale_baseline),
         }
+        if self.shard is not None:
+            payload["shard"] = self.shard["summary"]
+        return payload
 
     def render(self) -> str:
         lines = [f.render() for f in self.findings]
@@ -313,16 +327,38 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
 def lint_paths(paths: Sequence[Union[str, Path]],
                baseline: Optional[Sequence[dict]] = None,
                select: Optional[Tuple[str, ...]] = None) -> LintReport:
-    """Lint every ``.py`` file under ``paths``; apply ``baseline``."""
-    report = LintReport()
+    """Lint every ``.py`` file under ``paths``; apply ``baseline``.
+
+    The whole-program analyses are only sound over the whole program,
+    so the index covers the ``repro`` package governing ``paths`` (or
+    just the given files when they lie outside any package); findings
+    are reported for the requested files only, while the shard
+    inventory (``report.shard``) always covers the whole index.
+    """
+    files = iter_python_files(paths)
+    root = find_package_root(files or list(paths))
+    project = (ProjectIndex.build(root) if root is not None
+               else ProjectIndex.build_files(files))
+    whole_program, shard = deep_findings(project)
+    located: Dict[str, List[Finding]] = {}
+    for finding in whole_program:
+        if select is None or finding.rule in select:
+            located.setdefault(finding.path, []).append(finding)
+
+    report = LintReport(files=len(files), shard=shard)
     collected: List[Finding] = []
-    for file in iter_python_files(paths):
-        source = file.read_text()
-        findings, suppressed = lint_source(source, relpath_of(file),
-                                           select=select)
+    linted: Set[str] = set()
+    for file in files:
+        module = project.files.get(file.resolve())
+        if module is None:  # a file outside the indexed package
+            module = parse_module(file.read_text(), relpath_of(file), file)
+            findings, suppressed = _lint_module(module, select)
+        else:
+            findings, suppressed = _lint_module(
+                module, select, located.get(module.relpath, ()))
         collected.extend(findings)
         report.suppressed += suppressed
-        report.files += 1
+        linted.add(module.relpath)
     if baseline:
         matched_entries = set()
         by_key = {}
@@ -339,7 +375,11 @@ def lint_paths(paths: Sequence[Union[str, Path]],
             else:
                 kept.append(finding)
         collected = kept
-        report.stale_baseline = [entry for i, entry in enumerate(baseline)
-                                 if i not in matched_entries]
+        roots = _path_roots(files)
+        report.stale_baseline = [
+            entry for i, entry in enumerate(baseline)
+            if i not in matched_entries
+            and (_run_covers(entry, linted, select)
+                 or _file_gone(entry, roots))]
     report.findings = sorted(collected, key=Finding.sort_key)
     return report

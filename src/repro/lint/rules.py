@@ -4,7 +4,8 @@ A *rule* is an identifier (``DET004``), a severity, a path scope and a
 rationale; a *checker* is an :mod:`ast` visitor that reports findings for
 exactly one rule. Checkers register themselves with :func:`register`, and
 the engine instantiates every checker whose scope matches the file being
-linted.
+linted. The whole-program rules (:mod:`repro.lint.deep`) share the
+:class:`Rule` metadata and the catalogue, but not the visitor.
 
 Scopes are path prefixes **relative to the repro package root** (e.g.
 ``sim/`` or the single file ``sim/telemetry.py``); an empty scope tuple
@@ -100,9 +101,12 @@ def register(checker: Type[Checker]) -> Type[Checker]:
 
 
 def all_rules() -> List[Rule]:
-    """Every registered rule, ordered by code."""
+    """The rule catalogue, ordered by code: every registered checker's
+    rule plus the whole-program rules of :mod:`repro.lint.deep`."""
     _load_builtin_checks()
-    return [_REGISTRY[code].RULE for code in sorted(_REGISTRY)]
+    from repro.lint.deep import DEEP_RULES
+    rules = [cls.RULE for cls in _REGISTRY.values()] + list(DEEP_RULES)
+    return sorted(rules, key=lambda rule: rule.code)
 
 
 def checkers_for(ctx: FileContext,

@@ -1,17 +1,12 @@
-"""CLI surface of the deep analyses: ``repro-lint --deep`` (and the
-``cidre-sim lint`` verb), the separate deep baseline, inline
-suppressions, and ``--shard-report``.
+"""CLI surface of the whole-program rules in the one lint run: exit
+codes, inline suppressions and the committed baseline apply to them as
+to the per-file rules, and ``--shard-report`` writes the inventory.
 """
 
 import json
 import textwrap
-from pathlib import Path
 
-from repro.cli import main as cidre_main
 from repro.lint.cli import main as lint_main
-
-REPO = Path(__file__).resolve().parents[3]
-SRC = str(REPO / "src" / "repro")
 
 UNANNOTATED = textwrap.dedent("""\
     class Orchestrator:
@@ -30,13 +25,17 @@ def write_fixture(tmp_path, source, name="orchestrator.py"):
 
 
 class TestDeepRuns:
-    def test_head_deep_clean_exit_zero(self, capsys):
-        assert lint_main([SRC, "--deep"]) == 0
-        assert capsys.readouterr().out.startswith("OK: 0 finding(s)")
+    def test_head_deep_clean_exit_zero(self, head_cli):
+        # The whole-program rules are clean at HEAD in the one CLI run:
+        # no finding and no unannotated cross-worker site.
+        code, out, report = head_cli
+        assert code == 0
+        assert out.startswith("OK: 0 finding(s)")
+        assert report["summary"]["unannotated_cross_worker"] == 0
 
     def test_unannotated_fixture_exit_one(self, tmp_path, capsys):
         write_fixture(tmp_path, UNANNOTATED)
-        assert lint_main([str(tmp_path / "repro"), "--deep",
+        assert lint_main([str(tmp_path / "repro"),
                           "--no-baseline"]) == 1
         assert "SHD001" in capsys.readouterr().out
 
@@ -49,20 +48,20 @@ class TestDeepRuns:
                     for worker in self._workers:
                         worker.poke()
             """))
-        assert lint_main([str(tmp_path / "repro"), "--deep",
+        assert lint_main([str(tmp_path / "repro"),
                           "--no-baseline"]) == 0
         assert "1 suppressed inline" in capsys.readouterr().out
 
     def test_deep_baseline_grandfathers_and_reports_stale(
             self, tmp_path, capsys):
         write_fixture(tmp_path, UNANNOTATED)
-        baseline = tmp_path / "lint-deep-baseline.json"
+        baseline = tmp_path / "lint-baseline.json"
         # Build the baseline with --update-baseline, then lint again.
-        assert lint_main([str(tmp_path / "repro"), "--deep",
+        assert lint_main([str(tmp_path / "repro"),
                           "--update-baseline",
                           "--baseline", str(baseline)]) == 0
         capsys.readouterr()
-        assert lint_main([str(tmp_path / "repro"), "--deep",
+        assert lint_main([str(tmp_path / "repro"),
                           "--baseline", str(baseline)]) == 0
         assert "1 baselined" in capsys.readouterr().out
 
@@ -75,43 +74,29 @@ class TestDeepRuns:
                         for worker in self._workers:
                             worker.poke()
                 """))
-        assert lint_main([str(tmp_path / "repro"), "--deep",
+        assert lint_main([str(tmp_path / "repro"),
                           "--baseline", str(baseline)]) == 0
         assert "stale baseline entry" in capsys.readouterr().out
 
-    def test_separate_baselines_do_not_cross_apply(self, tmp_path):
-        # A classic baseline must not silence deep findings: the deep
-        # run discovers lint-deep-baseline.json, never the classic one.
-        write_fixture(tmp_path, UNANNOTATED)
-        (tmp_path / "pyproject.toml").write_text("")
-        classic = {"version": 1, "entries": [{
-            "rule": "SHD001",
-            "path": "repro/sim/orchestrator.py",
-            "line_text": "for worker in self._workers:",
-            "reason": "wrong file on purpose"}]}
-        (tmp_path / "lint-baseline.json").write_text(
-            json.dumps(classic))
-        assert lint_main([str(tmp_path / "repro"), "--deep"]) == 1
-
     def test_json_format_includes_shard_summary(self, tmp_path, capsys):
         write_fixture(tmp_path, UNANNOTATED)
-        assert lint_main([str(tmp_path / "repro"), "--deep",
-                          "--no-baseline", "--format", "json"]) == 1
+        assert lint_main([str(tmp_path / "repro"), "--no-baseline",
+                          "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"] == {"SHD001": 1}
         assert payload["shard"]["unannotated_cross_worker"] == 1
 
     def test_select_restricts_deep_rules(self, tmp_path, capsys):
         write_fixture(tmp_path, UNANNOTATED)
-        assert lint_main([str(tmp_path / "repro"), "--deep",
-                          "--no-baseline", "--select", "API002"]) == 0
+        assert lint_main([str(tmp_path / "repro"), "--no-baseline",
+                          "--select", "API002"]) == 0
 
 
 class TestShardReportFlag:
     def test_writes_inventory(self, tmp_path, capsys):
         write_fixture(tmp_path, UNANNOTATED)
         out = tmp_path / "shard-report.json"
-        lint_main([str(tmp_path / "repro"), "--deep", "--no-baseline",
+        lint_main([str(tmp_path / "repro"), "--no-baseline",
                    "--shard-report", str(out)])
         report = json.loads(out.read_text())
         assert report["version"] == 1
@@ -120,16 +105,8 @@ class TestShardReportFlag:
         assert site["ownership"] == "cross-worker"
         assert site["kind"] == "iterate"
 
-    def test_requires_deep(self, capsys):
-        assert lint_main([SRC, "--shard-report", "x.json"]) == 2
-        assert "--shard-report requires --deep" in \
-            capsys.readouterr().err
-
-    def test_head_report_lists_known_sites(self, tmp_path):
-        out = tmp_path / "shard-report.json"
-        assert lint_main([SRC, "--deep", "--shard-report",
-                          str(out)]) == 0
-        report = json.loads(out.read_text())
+    def test_head_report_lists_known_sites(self, head_cli):
+        _, _, report = head_cli
         functions = {s["function"] for s in report["sites"]}
         assert any(f.endswith("Orchestrator._dispatch")
                    for f in functions)
@@ -137,9 +114,10 @@ class TestShardReportFlag:
 
 
 class TestEmbeddedVerb:
-    def test_cidre_sim_lint_deep(self, capsys):
-        assert cidre_main(["lint", SRC, "--deep"]) == 0
-        assert capsys.readouterr().out.startswith("OK: 0 finding(s)")
+    def test_cidre_sim_lint_deep(self, head_verb, head_cli):
+        # The embedded verb is the same run as repro-lint: the same
+        # output and the same shard inventory.
+        assert head_verb == head_cli
 
     def test_rules_catalogue_includes_deep_rules(self, capsys):
         assert lint_main(["--rules"]) == 0

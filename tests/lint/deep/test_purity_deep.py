@@ -15,8 +15,6 @@ helper living in a *non-observer* module; the helper does the writing.
   describes a real dynamic violation.
 """
 
-from pathlib import Path
-
 import pytest
 
 from repro.experiments.runner import run_one
@@ -31,9 +29,6 @@ from repro.sim import sanitizer as sanitizer_mod
 from repro.sim.config import SimulationConfig
 from repro.sim.sanitizer import SanitizerError, SimSanitizer
 from repro.traces.azure import azure_trace
-
-REPO = Path(__file__).resolve().parents[3]
-SRC = REPO / "src" / "repro"
 
 # The helper lives outside every observer scope: the classic PUR rules
 # never lint it, and at the observer's call site there is no direct
@@ -168,13 +163,11 @@ def control_step(orch):
         index.finalize()
         assert purity_findings(CallGraph.build(index)) == []
 
-    def test_head_is_transitively_pure(self):
-        graph = CallGraph.build(ProjectIndex.build(SRC))
-        assert purity_findings(graph) == []
+    def test_head_is_transitively_pure(self, head_graph):
+        assert purity_findings(head_graph) == []
 
-    def test_summaries_know_real_mutators(self):
-        index = ProjectIndex.build(SRC)
-        summaries = PuritySummaries(CallGraph.build(index))
+    def test_summaries_know_real_mutators(self, head_graph):
+        summaries = PuritySummaries(head_graph)
         charge = summaries.mutations[
             "repro.sim.worker.Worker._charge"]
         assert "self" in charge

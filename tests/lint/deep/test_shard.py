@@ -4,22 +4,19 @@ and the HEAD inventory that feeds ROADMAP item 2.
 The fixture half pins the classifier's behavior on synthetic modules;
 the HEAD half asserts the real tree's cross-worker inventory is
 complete (placement and cluster-memory sites at minimum), fully
-annotated, and that the committed deep baseline keeps ``--deep`` green.
+annotated, and that the HEAD lint run with the committed baseline is
+green and reports the same inventory.
 """
 
-from pathlib import Path
+import pytest
 
-from repro.lint.deep import deep_lint_paths
 from repro.lint.deep.shard import ShardAnalysis, shard_annotations
 from repro.lint.deep.symbols import ProjectIndex
-
-REPO = Path(__file__).resolve().parents[3]
-SRC = REPO / "src" / "repro"
 
 
 def analyze(source, relpath="repro/sim/orchestrator.py"):
     index = ProjectIndex()
-    assert index.add_source(source, relpath) is not None
+    assert index.add_source(source, relpath).tree is not None
     index.finalize()
     return ShardAnalysis(index).run()
 
@@ -171,10 +168,16 @@ class Orchestrator:
 # HEAD inventory
 
 
+@pytest.fixture(scope="module")
+def head_shard(head_index):
+    return ShardAnalysis(head_index).run()
+
+
 class TestHeadInventory:
-    def setup_method(self):
-        self.analysis = ShardAnalysis(ProjectIndex.build(SRC)).run()
-        self.report = self.analysis.report(root="src/repro")
+    @pytest.fixture(autouse=True)
+    def _head(self, head_shard):
+        self.analysis = head_shard
+        self.report = head_shard.report(root="src/repro")
 
     def test_head_has_no_unannotated_cross_worker_sites(self):
         assert self.report["summary"]["unannotated_cross_worker"] == 0
@@ -211,7 +214,7 @@ class TestHeadInventory:
                 for s in self.report["sites"]]
         assert keys == sorted(keys)
 
-    def test_deep_lint_head_is_green_with_committed_baseline(self):
-        report, shard = deep_lint_paths([SRC])
-        assert report.clean, report.render()
-        assert shard["summary"]["sites"] == len(self.report["sites"])
+    def test_deep_lint_head_is_green_with_committed_baseline(
+            self, head_report):
+        assert head_report.clean, head_report.render()
+        assert head_report.shard == self.report

@@ -13,6 +13,8 @@ Two halves:
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint.deep.callgraph import CallGraph
 from repro.lint.deep.symbols import ProjectIndex, find_package_root
 
@@ -24,7 +26,7 @@ def build_fixture(*modules):
     """ProjectIndex from (relpath, source) pairs."""
     index = ProjectIndex()
     for relpath, source in modules:
-        assert index.add_source(source, relpath) is not None
+        assert index.add_source(source, relpath).tree is not None
     index.finalize()
     return index
 
@@ -34,9 +36,10 @@ def build_fixture(*modules):
 
 
 class TestWholeTree:
-    def setup_method(self):
-        self.index = ProjectIndex.build(SRC)
-        self.graph = CallGraph.build(self.index)
+    @pytest.fixture(autouse=True)
+    def _head(self, head_index, head_graph):
+        self.index = head_index
+        self.graph = head_graph
 
     def test_package_root_discovery(self):
         assert find_package_root([SRC / "sim" / "worker.py"]) == SRC

@@ -3,20 +3,15 @@ assignments, returns and call-argument bindings — the mixing the
 expression-local ``API001`` cannot see.
 """
 
-from pathlib import Path
-
 from repro.lint import lint_source
 from repro.lint.deep.callgraph import CallGraph
 from repro.lint.deep.symbols import ProjectIndex
 from repro.lint.deep.units import ReturnUnits, units_findings
 
-REPO = Path(__file__).resolve().parents[3]
-SRC = REPO / "src" / "repro"
-
 
 def findings_for(source, relpath="repro/sim/fixture.py"):
     index = ProjectIndex()
-    assert index.add_source(source, relpath) is not None
+    assert index.add_source(source, relpath).tree is not None
     index.finalize()
     return units_findings(CallGraph.build(index))
 
@@ -117,9 +112,8 @@ def use(rate_per_s, window_ms):
     return rate_per_s * window_ms
 """) == []
 
-    def test_head_is_clean(self):
-        index = ProjectIndex.build(SRC)
-        assert units_findings(CallGraph.build(index)) == []
+    def test_head_is_clean(self, head_graph):
+        assert units_findings(head_graph) == []
 
 
 class TestReturnSummaries:

@@ -88,6 +88,21 @@ class TestUpdateBaseline:
         assert {e["path"] for e in entries} == \
             {"repro/sim/one.py", "repro/sim/two.py"}
 
+    def test_select_run_keeps_entries_of_rules_it_did_not_run(
+            self, tmp_path):
+        write(tmp_path, "one.py", MIXED + "\nimport uuid\n"
+                                          "RID = uuid.uuid4()\n")
+        baseline = tmp_path / "lint-baseline.json"
+        lint_main([str(tmp_path / "repro"), "--update-baseline",
+                   "--baseline", str(baseline)])
+        # An update restricted to API001 refreshes API001 entries only;
+        # the DET003 entry of the same file is not its to drop.
+        assert lint_main([str(tmp_path / "repro"), "--update-baseline",
+                          "--select", "API001",
+                          "--baseline", str(baseline)]) == 0
+        entries = json.loads(baseline.read_text())["entries"]
+        assert sorted(e["rule"] for e in entries) == ["API001", "DET003"]
+
     def test_engine_api_counts(self, tmp_path):
         one = write(tmp_path, "one.py", MIXED)
         gone = write(tmp_path, "two.py", MIXED)
@@ -198,6 +213,6 @@ class TestGithubFormat:
                     for worker in self._workers:
                         worker.poke()
             """))
-        assert lint_main([str(tmp_path / "repro"), "--deep",
-                          "--no-baseline", "--format", "github"]) == 1
+        assert lint_main([str(tmp_path / "repro"), "--no-baseline",
+                          "--format", "github"]) == 1
         assert "title=SHD001::" in capsys.readouterr().out

@@ -8,26 +8,21 @@ with a comment or carried (with a reason) in the committed
 
 from pathlib import Path
 
-from repro.lint import lint_paths, load_baseline
 from repro.lint.engine import BASELINE_FILENAME, find_default_baseline
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
 
 
-def test_src_repro_lints_clean():
-    baseline = load_baseline(REPO / BASELINE_FILENAME)
-    report = lint_paths([SRC], baseline=baseline)
-    assert report.findings == [], "\n" + report.render()
-    assert report.files > 50  # the whole package was actually walked
+def test_src_repro_lints_clean(head_report):
+    assert head_report.findings == [], "\n" + head_report.render()
+    assert head_report.files > 50  # the whole package was actually walked
 
 
-def test_baseline_has_no_stale_entries():
-    baseline = load_baseline(REPO / BASELINE_FILENAME)
-    report = lint_paths([SRC], baseline=baseline)
-    assert report.stale_baseline == []
+def test_baseline_has_no_stale_entries(head_report, head_baseline):
+    assert head_report.stale_baseline == []
     # Every grandfathered finding still matches something real.
-    assert report.baselined == len(baseline)
+    assert head_report.baselined == len(head_baseline)
 
 
 def test_default_baseline_discovered_from_src():

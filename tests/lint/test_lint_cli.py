@@ -29,14 +29,36 @@ def write_module(tmp_path, source):
 
 
 class TestStandalone:
-    def test_clean_exit_zero(self, capsys):
-        assert lint_main([SRC]) == 0
-        assert capsys.readouterr().out.startswith("OK: 0 finding(s)")
+    def test_clean_exit_zero(self, head_cli):
+        # The one repro-lint run over HEAD: clean against the committed
+        # baseline.
+        code, out, _ = head_cli
+        assert code == 0
+        assert out.startswith("OK: 0 finding(s)")
 
     def test_findings_exit_one(self, tmp_path, capsys):
         module = write_module(tmp_path, BAD)
         assert lint_main([str(module), "--no-baseline"]) == 1
         assert "DET003" in capsys.readouterr().out
+
+    def test_syntax_error_exit_one(self, tmp_path, capsys):
+        # The file that does not parse is reported once, as E999; the
+        # other file is still linted.
+        module = write_module(tmp_path, "def f(:\n")
+        (module.parent / "fine.py").write_text(BAD)
+        assert lint_main([str(tmp_path / "repro"), "--no-baseline",
+                          "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["counts"] == {"E999": 1, "DET003": 1}
+        assert payload["files"] == 2
+
+    def test_unknown_select_code_exit_two(self, capsys):
+        assert lint_main([SRC, "--select", "DET001,DET0O1"]) == 2
+        captured = capsys.readouterr()
+        assert "DET0O1" in captured.err
+        assert "DET001" not in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_missing_path_exit_two(self, capsys):
         assert lint_main(["/nonexistent/nowhere.py"]) == 2
@@ -56,6 +78,7 @@ class TestStandalone:
         for code in ("DET001", "DET004", "PUR001", "PUR002", "FPX001",
                      "FPX002", "API001"):
             assert code in out
+        assert "[--" not in out  # one catalogue, no per-engine tags
 
     def test_update_baseline_then_clean(self, tmp_path, capsys):
         module = write_module(tmp_path, BAD)
@@ -77,9 +100,11 @@ class TestStandalone:
 
 
 class TestCidreSimVerb:
-    def test_lint_verb_clean(self, capsys):
-        assert cidre_main(["lint", SRC]) == 0
-        assert capsys.readouterr().out.startswith("OK: 0 finding(s)")
+    def test_lint_verb_clean(self, head_verb):
+        # The one cidre-sim lint run over HEAD.
+        code, out, _ = head_verb
+        assert code == 0
+        assert out.startswith("OK: 0 finding(s)")
 
     def test_lint_verb_findings(self, tmp_path, capsys):
         module = write_module(tmp_path, BAD)

@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import lint_source, load_baseline, write_baseline
+from repro.lint import lint_source, load_baseline, update_baseline_file
 from repro.lint.engine import (lint_paths, relpath_of, LintReport)
 
 BAD_SIM = textwrap.dedent("""\
@@ -86,7 +86,7 @@ class TestBaseline:
         assert [f.rule for f in dirty.findings] == ["DET003"]
 
         baseline_file = tmp_path / "lint-baseline.json"
-        write_baseline(baseline_file, dirty.findings)
+        update_baseline_file(baseline_file, dirty.findings, [module])
         clean = lint_paths([module],
                            baseline=load_baseline(baseline_file))
         assert clean.clean
@@ -96,7 +96,8 @@ class TestBaseline:
     def test_survives_line_drift(self, tmp_path):
         module = write_module(tmp_path, BAD_SIM)
         baseline_file = tmp_path / "lint-baseline.json"
-        write_baseline(baseline_file, lint_paths([module]).findings)
+        update_baseline_file(baseline_file, lint_paths([module]).findings,
+                             [module])
 
         # Prepend code: the finding moves lines but keeps its text.
         module.write_text("import os\n\nHERE = os.curdir\n" + BAD_SIM)
@@ -108,7 +109,8 @@ class TestBaseline:
     def test_stale_entries_reported(self, tmp_path):
         module = write_module(tmp_path, BAD_SIM)
         baseline_file = tmp_path / "lint-baseline.json"
-        write_baseline(baseline_file, lint_paths([module]).findings)
+        update_baseline_file(baseline_file, lint_paths([module]).findings,
+                             [module])
 
         module.write_text("FIXED = True\n")
         report = lint_paths([module],
@@ -117,6 +119,37 @@ class TestBaseline:
         assert len(report.stale_baseline) == 1
         assert report.stale_baseline[0]["rule"] == "DET003"
         assert "stale baseline" in report.render()
+
+    def test_stale_only_where_path_linted_and_rule_ran(self, tmp_path):
+        # A subdirectory or --select run must not call an entry stale
+        # ("remove it") that it could not have matched.
+        module = write_module(tmp_path, BAD_SIM)
+        core = tmp_path / "repro" / "core"
+        core.mkdir()
+        (core / "ok.py").write_text("OK = 1\n")
+        baseline_file = tmp_path / "lint-baseline.json"
+        update_baseline_file(baseline_file, lint_paths([module]).findings,
+                             [module])
+        baseline = load_baseline(baseline_file)
+
+        subdir = lint_paths([core], baseline=baseline)
+        assert subdir.clean and subdir.stale_baseline == []
+        selected = lint_paths([tmp_path / "repro"], baseline=baseline,
+                              select=("DET001",))
+        assert selected.clean and selected.stale_baseline == []
+
+        # A truly stale entry is still reported by the full run, and so
+        # is an entry whose file was deleted (never linted again).
+        truly_stale = dict(baseline[0], line_text="rid = uuid.uuid1()")
+        gone = dict(baseline[0], path="repro/sim/deleted.py")
+        full = lint_paths([tmp_path / "repro"],
+                          baseline=baseline + [truly_stale, gone])
+        assert full.clean and full.baselined == 1
+        assert full.stale_baseline == [truly_stale, gone]
+        # The deleted file's entry can never match again, whatever the
+        # run lints: the subdirectory run reports it too.
+        subdir = lint_paths([core], baseline=baseline + [gone])
+        assert subdir.clean and subdir.stale_baseline == [gone]
 
     def test_malformed_baseline_rejected(self, tmp_path):
         bad = tmp_path / "b.json"
@@ -131,7 +164,8 @@ class TestBaseline:
     def test_entries_carry_reasons(self, tmp_path):
         module = write_module(tmp_path, BAD_SIM)
         baseline_file = tmp_path / "b.json"
-        write_baseline(baseline_file, lint_paths([module]).findings)
+        update_baseline_file(baseline_file, lint_paths([module]).findings,
+                             [module])
         for entry in load_baseline(baseline_file):
             assert entry["reason"]
 
