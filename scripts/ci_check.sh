@@ -49,6 +49,14 @@ EOF
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== replay benchmark tests (perfbench, tiny scale) =="
+# The benchmark's own tests, through the code paths it runs: outcome
+# checks and regime guards of every workload (azure-paper must never
+# reschedule a completion: engine.reschedules == 0), and the per-layer
+# spans, which wrap orchestrator callbacks by name and skip a missing
+# name silently.
+python -m pytest perfbench -q
+
 echo "== parallel smoke sweep (--jobs 2 vs --jobs 1) =="
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
@@ -223,8 +231,9 @@ echo "fast-forward event log matches reference byte-for-byte"
 
 echo "== contention smoke (inert-model identity, deterministic replay) =="
 # An attached-but-inert contention model (alpha=0) must replay the exact
-# byte stream of a contention-free run: the progress-based completion
-# path may add no events and no float drift while every slowdown is 1.
+# byte stream of a contention-free run: retiming the co-located
+# executions on every start and finish may add no events and no float
+# drift while every slowdown is 1.
 cont_common=(trace --preset azure --requests 1500 --seed 3
              --policy CIDRE --capacity-gb 2)
 python -m repro.cli "${cont_common[@]}" \

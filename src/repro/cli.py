@@ -43,9 +43,12 @@ from repro.traces.stats import workload_stats
 
 def _build_trace(args: argparse.Namespace) -> Trace:
     if args.load:
+        if args.trace_name is None:
+            raise ValueError("--load needs --trace-name (the NAME of the "
+                             "saved NAME.functions.json)")
         return load_trace(args.load, args.trace_name)
     kwargs = {}
-    if args.requests:
+    if args.requests is not None:
         kwargs["total_requests"] = args.requests
     if args.seed is not None:
         kwargs["seed"] = args.seed
@@ -73,7 +76,8 @@ def config_from_args(args: argparse.Namespace, trace: Trace,
     take ``--capacities`` instead). ``--faults plan.json`` wins over
     ``--chaos-seed N``, which derives a reproducible random plan from the
     seed, the worker count and the trace duration; ``--contention
-    model.json`` wins over ``--contention-cores``/``--contention-alpha``.
+    model.json`` wins over ``--contention-cores``/``--contention-alpha``;
+    ``--contention-alpha`` alone is a usage error.
     """
     faults = contention = None
     if args.faults:
@@ -84,8 +88,11 @@ def config_from_args(args: argparse.Namespace, trace: Trace,
     if args.contention:
         contention = ContentionModel.from_json(args.contention)
     elif args.contention_cores is not None:
+        alpha = args.contention_alpha
         contention = ContentionModel(cores=args.contention_cores,
-                                     alpha=args.contention_alpha)
+                                     alpha=1.0 if alpha is None else alpha)
+    elif args.contention_alpha is not None:
+        raise ValueError("--contention-alpha needs --contention-cores")
     return SimulationConfig(
         capacity_gb=args.capacity_gb if capacity_gb is None else capacity_gb,
         workers=args.workers, threads_per_container=args.threads,
@@ -781,9 +788,10 @@ def build_parser() -> argparse.ArgumentParser:
     flag("--contention-cores", type=int, default=None,
          help="per-worker core budget for the default slowdown curve "
               "(enables contention; --contention wins)")
-    flag("--contention-alpha", type=float, default=1.0,
+    flag("--contention-alpha", type=float, default=None,
          help="exponent of the slowdown curve max(1, busy/cores)**alpha "
-              "(default 1.0; 0 makes the model inert)")
+              "(default 1.0; needs --contention-cores; 0 makes the model "
+              "inert)")
     flag("--fast-forward", action="store_true",
          help="skip idle gaps analytically (bit-identical; auto-disabled "
               "under --reference or with --timeseries-out attached)")

@@ -70,11 +70,11 @@ class SimulationConfig:
     contention:
         Optional :class:`~repro.sim.contention.ContentionModel`: each
         worker gets a CPU core budget and co-located in-flight
-        executions slow each other down, with completions tracked as
-        remaining work rescheduled on every concurrency transition
-        (progress-based execution). ``None`` (the default) keeps the
-        contention layer provably inert — the event stream is
-        bit-identical to a contention-free build.
+        executions slow each other down: every execution start and
+        finish settles its neighbours' progress ledgers and reschedules
+        their completions. ``None`` (the default) keeps the contention
+        layer provably inert — no start or finish retimes anything, and
+        the event stream is bit-identical to a contention-free build.
     """
 
     capacity_gb: float = 100.0

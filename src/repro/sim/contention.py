@@ -25,14 +25,15 @@ interference profiles plug in.
 
 Execution model
 ---------------
-Orchestrator executions become *progress-based* when a model is attached
-(see ``Orchestrator``): each running execution tracks remaining work, and
+Every orchestrator execution is timed by a progress ledger (see
+``Orchestrator``) that tracks its remaining work. With a model attached,
 every concurrency transition on the worker (an execution starting or
-finishing, a crash, a straggler-window boundary) settles accrued progress
-at the old rate and reschedules the completion event. Straggler
+finishing) settles accrued progress at the old rate and reschedules the
+completion events of the co-located executions. Straggler
 ``exec_multiplier`` windows (:mod:`repro.sim.faults`) multiply into the
-same rate, so a mid-execution window edge changes the remaining wall time
-exactly instead of being ignored.
+same rate, and their edges retime the same ledgers, so a mid-execution
+window edge changes the remaining wall time exactly instead of being
+ignored.
 
 Determinism contract
 --------------------

@@ -18,10 +18,14 @@ Fault model
   empty cache after ``restart_delay_ms`` (``None`` = never rejoins).
   A crash scheduled while the worker is already down is ignored.
 * **Straggler** (:class:`StragglerSpec`): inside ``[start_ms, end_ms)``
-  the worker's execution and cold-start latencies are multiplied.
-  Multipliers apply at *scheduling* time (when the execution or
-  provision starts), mirroring how a slow machine stretches whatever
-  work lands on it; overlapping windows multiply together.
+  the worker's execution and cold-start rates are multiplied, mirroring
+  how a slow machine stretches whatever work lands on it; overlapping
+  windows multiply together. The multipliers apply to exactly the part
+  of the work inside the window: the orchestrator retimes running
+  executions' progress ledgers at each window edge
+  (:meth:`FaultPlan.next_exec_boundary`), and a provision integrates its
+  cold rate across the edges it straddles
+  (:meth:`FaultPlan.cold_finish_ms`).
 * **Worker class** (:class:`WorkerClassSpec`): static heterogeneity —
   per-class memory capacity and a cold-start multiplier, so the cluster
   need not be uniform.
@@ -221,12 +225,6 @@ class FaultPlan:
             if straggler.worker_id == worker_id and straggler.covers(now):
                 factor *= straggler.cold_multiplier
         return factor
-
-    def has_exec_stragglers(self) -> bool:
-        """True when any straggler window changes execution rates — the
-        plan then needs the progress-based execution model so a window
-        edge mid-execution changes the remaining wall time."""
-        return any(s.exec_multiplier != 1.0 for s in self.stragglers)
 
     def next_exec_boundary(self, worker_id: int,
                            now: float) -> Optional[float]:

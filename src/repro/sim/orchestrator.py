@@ -87,35 +87,6 @@ class _PendingProvision:
     abandoned: bool = False
 
 
-class _ExecProgress:
-    """Progress ledger for one running execution (progress mode).
-
-    ``remaining_ms`` is the work left in trace-time units as of
-    ``settled_ms``; the completion event sits at ``settled_ms +
-    remaining_ms * slowdown`` and is rescheduled whenever the rate
-    changes. Settlement is deferred while the rate is constant — progress
-    accrues linearly, so settling only at rate changes is exact and
-    keeps single-rate executions free of float re-derivations.
-    """
-
-    __slots__ = ("request", "container", "event", "remaining_ms",
-                 "slowdown", "settled_ms", "slowed")
-
-    def __init__(self, request: Request, container: Container, event,
-                 remaining_ms: float, slowdown: float,
-                 settled_ms: float) -> None:
-        self.request = request
-        self.container = container
-        self.event = event
-        self.remaining_ms = remaining_ms
-        self.slowdown = slowdown
-        self.settled_ms = settled_ms
-        #: Whether any rate other than exactly 1.0 ever applied — gates
-        #: the EXEC_END slowdown annotation so inert models stay
-        #: byte-identical to contention-free runs.
-        self.slowed = slowdown != 1.0
-
-
 class Orchestrator:
     """Simulates a FaaS cluster under one orchestration policy.
 
@@ -203,28 +174,29 @@ class Orchestrator:
                 raise ValueError(
                     f"{spec.name} needs {spec.memory_mb} MB but each worker "
                     f"has only {floor_mb} MB")
-        #: The CPU-contention model, or None. Gated exactly like
-        #: ``_faults``: contention-off runs take byte-identical code
-        #: paths to a build without the contention layer.
+        #: The CPU-contention model, or None. Only a contention model
+        #: makes execution rates depend on concurrency, so only under one
+        #: does an execution start or finish retime its neighbours.
         self._contention = self.config.contention
-        #: Progress-based completions are needed whenever execution
-        #: rates can change mid-flight: under a contention model, or
-        #: under straggler windows that scale execution time (whose
-        #: mid-window edges the sampled-once model silently ignored).
-        self._progress = (self._contention is not None
-                          or (self._faults is not None
-                              and self._faults.has_exec_stragglers()))
-        #: req_id -> live progress ledger (progress mode only).
-        self._execs: Dict[int, _ExecProgress] = {}
-        #: worker_id -> {req_id -> ledger} of co-located executions, in
-        #: start order (dict insertion order is the deterministic
-        #: iteration order for retiming).
-        self._worker_execs: Dict[int, Dict[int, _ExecProgress]] = {}
+        #: worker_id -> {req_id -> ledger} of the executions running
+        #: there, in start order (dict insertion order is the
+        #: deterministic iteration order for retiming). Every execution
+        #: is timed by its progress ledger, the list ``[event, request,
+        #: remaining_ms, slowdown, settled_ms, slowed]`` (a list because
+        #: one is built per request): ``remaining_ms`` is the work left
+        #: in trace-time units as of ``settled_ms``, and the completion
+        #: ``event`` sits at ``settled_ms + remaining_ms * slowdown``.
+        #: Settlement is deferred while the rate is constant (progress
+        #: accrues linearly, so settling only at rate changes is exact
+        #: and keeps single-rate executions free of float
+        #: re-derivations). ``slowed`` records whether any rate other
+        #: than exactly 1.0 ever applied; it gates the EXEC_END slowdown
+        #: annotation, so inert models stay byte-identical to
+        #: contention-free runs.
+        self._worker_execs: Dict[int, Dict[int, list]] = {
+            worker_id: {} for worker_id in range(self.config.workers)}
         #: worker_id -> armed straggler-window boundary event.
         self._rate_events: Dict[int, object] = {}
-        #: req_id -> in-flight execution event (fault layer only; lets a
-        #: crash cancel the completions of destroyed containers in O(1)).
-        self._exec_events: Dict[int, object] = {}
         #: container_id -> (ready event, bound waiter) for provisions and
         #: restores in flight (fault layer only).
         self._provision_events: Dict[int, tuple] = {}
@@ -603,6 +575,7 @@ class Orchestrator:
             self._restart_times.append(restart_at)
             self.sim.at(restart_at, self._on_worker_restart, worker)
         victims = worker.crash()
+        self._cancel_worker_execs(worker.worker_id)
         self.metrics.crash_destroyed += len(victims)
         if self.attribution is not None:
             self.attribution.note_crash(c.spec.name for c in victims)
@@ -626,9 +599,6 @@ class Orchestrator:
         self.policy.on_worker_crash(worker, victims, now)
         retry = self._faults.retry
         for request in orphans:
-            event = self._exec_events.pop(request.req_id, None)
-            if event is not None:
-                event.cancel()
             self.metrics.orphaned_requests += 1
             if request.retries < retry.max_retries:
                 request.retries += 1
@@ -643,8 +613,6 @@ class Orchestrator:
             else:
                 self._fail_request(request, "exec:exhausted",
                                    worker_id=worker.worker_id)
-        if self._progress:
-            self._drop_progress_worker(worker.worker_id)
         for waiter in rebind:
             self._rebind_waiter(waiter)
         # Blocked provisions aimed at the dead worker move to a live one;
@@ -785,19 +753,7 @@ class Orchestrator:
                   container_id=container.container_id, detail=detail,
                   worker_id=worker.worker_id)
         self.policy.on_provision_started(container, now)
-        if self._faults is not None:
-            # Integrate the cold rate across straggler-window edges
-            # instead of freezing the factor sampled at dispatch: a
-            # window that ends (or begins) mid-provision changes the
-            # remaining wall time. With no edge straddled this is the
-            # single sampled multiply, bit-for-bit.
-            event = self.sim.at(
-                self._faults.cold_finish_ms(worker.worker_id, now, cost),
-                self._on_ready, container, waiter)
-            self._provision_events[container.container_id] = (event, waiter)
-        else:
-            event = self.sim.schedule(cost, self._on_ready, container,
-                                      waiter)
+        self._schedule_ready(container, waiter, worker.worker_id, cost)
         return container
 
     def _begin_restore(self, container: Container, request: Request,
@@ -822,17 +778,27 @@ class Orchestrator:
         waiter = _Waiter(request, may_use_busy=False, bound=container)
         self._enqueue_waiter(waiter)
         self.metrics.restores += 1
-        cost = self.policy.restore_cost_ms(container.spec)
-        if self._faults is not None:
-            # Same piecewise integration as _begin_provision.
-            event = self.sim.at(
-                self._faults.cold_finish_ms(worker.worker_id, now, cost),
-                self._on_ready, container, waiter)
-            self._provision_events[container.container_id] = (event, waiter)
-        else:
-            event = self.sim.schedule(cost, self._on_ready, container,
-                                      waiter)
+        self._schedule_ready(container, waiter, worker.worker_id,
+                             self.policy.restore_cost_ms(container.spec))
         return True
+
+    def _schedule_ready(self, container: Container,
+                        waiter: Optional[_Waiter], worker_id: int,
+                        cost: float) -> None:
+        """Fire :meth:`_on_ready` once ``cost`` ms of provisioning (or
+        restore) work starting now is done."""
+        if self._faults is None:
+            self.sim.schedule(cost, self._on_ready, container, waiter)
+            return
+        # Integrate the cold rate across straggler-window edges instead
+        # of freezing the factor sampled at dispatch: a window that ends
+        # (or begins) mid-provision changes the remaining wall time.
+        # With no edge straddled this is the single sampled multiply,
+        # bit-for-bit.
+        event = self.sim.at(
+            self._faults.cold_finish_ms(worker_id, self.sim.now, cost),
+            self._on_ready, container, waiter)
+        self._provision_events[container.container_id] = (event, waiter)
 
     def _on_ready(self, container: Container,
                   waiter: Optional[_Waiter]) -> None:
@@ -902,14 +868,14 @@ class Orchestrator:
         request.start_ms = now
         request.start_type = start_type
         request.container_id = container.container_id
+        worker_id = container.worker.worker_id
+        kind = start_type._value_  # Enum.value without the property call
         self._log(EventKind.EXEC_START, request.func,
                   container_id=container.container_id,
-                  req_id=request.req_id, detail=start_type.value,
-                  worker_id=container.worker.worker_id
-                  if container.worker else None)
+                  req_id=request.req_id, detail=kind, worker_id=worker_id)
         if self.recorder is not None:
-            self.recorder.note_start(request.func, start_type.value, now)
-        self.metrics.starts[start_type._value_] += 1
+            self.recorder.note_start(request.func, kind, now)
+        self.metrics.starts[kind] += 1
         container.start_request(request, now)
         if start_type is StartType.WARM:
             self.policy.on_warm_start(container, request, now)
@@ -917,29 +883,35 @@ class Orchestrator:
             self.policy.on_delayed_start(container, request, now)
         else:
             self.policy.on_cold_start(container, request, now)
-        if self._progress and container.worker is not None:
-            self._begin_progress_exec(container, request)
-            return
+        table = self._worker_execs[worker_id]
+        busy = len(table) + 1
+        if self._contention is not None:
+            # Settle the neighbours first: their rates change the
+            # instant this execution joins the worker.
+            self._retime_worker(worker_id, busy, now)
+        slowdown = self._slowdown(worker_id, request.func, busy, now)
         exec_ms = request.exec_ms
-        if self._faults is not None and container.worker is not None:
-            exec_ms = exec_ms * self._faults.exec_multiplier(
-                container.worker.worker_id, now)
-        event = self.sim.schedule(exec_ms, self._on_complete, container,
-                                  request)
+        table[request.req_id] = [
+            self.sim.schedule(exec_ms * slowdown, self._on_complete,
+                              container, request),
+            request, exec_ms, slowdown, now, slowdown != 1.0]
         if self._faults is not None:
-            self._exec_events[request.req_id] = event
+            self._arm_rate_boundary(worker_id)
 
     def _on_complete(self, container: Container, request: Request) -> None:
         now = self.sim.now
-        if self._faults is not None:
-            self._exec_events.pop(request.req_id, None)
-        state = (self._finish_progress_exec(request, container)
-                 if self._progress else None)
+        worker_id = container.worker.worker_id
+        table = self._worker_execs[worker_id]
+        slowed = table.pop(request.req_id)[-1]
+        if self._contention is not None:
+            # The neighbours now run less contended.
+            self._retime_worker(worker_id, len(table), now)
+        if not table and self._faults is not None:
+            self._disarm_rate_boundary(worker_id)
         container.finish_request(request, now)
         request.end_ms = now
         detail = ""
-        if (self._contention is not None and state is not None
-                and state.slowed):
+        if self._contention is not None and slowed:
             realized = ((now - request.start_ms) / request.exec_ms
                         if request.exec_ms > 0 else 1.0)
             # float(): generated traces carry numpy cold-start times,
@@ -948,8 +920,7 @@ class Orchestrator:
         self._log(EventKind.EXEC_END, request.func,
                   container_id=container.container_id,
                   req_id=request.req_id, detail=detail,
-                  worker_id=container.worker.worker_id
-                  if container.worker else None)
+                  worker_id=worker_id)
         self.metrics.record_request(request)
         self.policy.on_request_complete(container, request, now)
         # Step 2a: the vacant slot serves queued waiters — first those
@@ -964,7 +935,7 @@ class Orchestrator:
             self._schedule_retry()
 
     # ==================================================================
-    # Progress-based execution (contention / rate-varying stragglers)
+    # Execution rates (contention / straggler windows)
 
     def _slowdown(self, worker_id: int, func: str, busy: int,
                   now: float) -> float:
@@ -978,66 +949,22 @@ class Orchestrator:
             factor = factor * self._faults.exec_multiplier(worker_id, now)
         return factor
 
-    def _begin_progress_exec(self, container: Container,
-                             request: Request) -> None:
-        now = self.sim.now
-        worker_id = container.worker.worker_id
-        table = self._worker_execs.setdefault(worker_id, {})
-        busy = len(table) + 1
-        # Settle the neighbours first: their rates change the instant
-        # this execution joins the worker.
-        self._retime_worker(worker_id, busy, now)
-        slowdown = self._slowdown(worker_id, request.func, busy, now)
-        event = self.sim.schedule(request.exec_ms * slowdown,
-                                  self._on_complete, container, request)
-        state = _ExecProgress(request, container, event,
-                              request.exec_ms, slowdown, now)
-        table[request.req_id] = state
-        self._execs[request.req_id] = state
-        if self._faults is not None:
-            self._exec_events[request.req_id] = event
-            self._arm_rate_boundary(worker_id)
-
     def _retime_worker(self, worker_id: int, busy: int,
                        now: float) -> None:
         """Settle progress and reschedule the completion of every running
         execution on ``worker_id`` under its new concurrency ``busy``."""
-        table = self._worker_execs.get(worker_id)
-        if not table:
-            return
-        for state in table.values():
-            slowdown = self._slowdown(worker_id, state.request.func,
-                                      busy, now)
-            if slowdown == state.slowdown:
+        for ledger in self._worker_execs[worker_id].values():
+            event, request, remaining, rate, settled, slowed = ledger
+            slowdown = self._slowdown(worker_id, request.func, busy, now)
+            if slowdown == rate:
                 continue  # rate unchanged: settlement can stay deferred
-            elapsed = now - state.settled_ms
+            elapsed = now - settled
             if elapsed > 0.0:
-                remaining = state.remaining_ms - elapsed / state.slowdown
-                state.remaining_ms = remaining if remaining > 0.0 else 0.0
-            state.settled_ms = now
-            state.slowdown = slowdown
-            if slowdown != 1.0:
-                state.slowed = True
-            self.sim.reschedule(state.event,
-                                now + state.remaining_ms * slowdown)
-
-    def _finish_progress_exec(self, request: Request,
-                              container: Container) -> Optional[_ExecProgress]:
-        """Retire a completed execution's ledger and retime its
-        (now less-contended) neighbours."""
-        state = self._execs.pop(request.req_id, None)
-        if state is None:  # pragma: no cover - defensive
-            return None
-        worker = container.worker
-        if worker is not None:
-            table = self._worker_execs.get(worker.worker_id)
-            if table is not None:
-                table.pop(request.req_id, None)
-                self._retime_worker(worker.worker_id, len(table),
-                                    self.sim.now)
-                if not table:
-                    self._disarm_rate_boundary(worker.worker_id)
-        return state
+                remaining = remaining - elapsed / rate
+                remaining = remaining if remaining > 0.0 else 0.0
+            ledger[2:] = (remaining, slowdown, now,
+                          slowed or slowdown != 1.0)
+            self.sim.reschedule(event, now + remaining * slowdown)
 
     def _arm_rate_boundary(self, worker_id: int) -> None:
         """Wake up at the next straggler-window edge that changes
@@ -1054,7 +981,7 @@ class Orchestrator:
 
     def _on_rate_boundary(self, worker_id: int) -> None:
         self._rate_events.pop(worker_id, None)
-        table = self._worker_execs.get(worker_id)
+        table = self._worker_execs[worker_id]
         if table:
             self._retime_worker(worker_id, len(table), self.sim.now)
             self._arm_rate_boundary(worker_id)
@@ -1064,13 +991,13 @@ class Orchestrator:
         if event is not None:
             event.cancel()
 
-    def _drop_progress_worker(self, worker_id: int) -> None:
-        """Forget progress state for a crashed worker (the completion
-        events themselves are cancelled through ``_exec_events``)."""
-        table = self._worker_execs.pop(worker_id, None)
-        if table:
-            for req_id in table:
-                self._execs.pop(req_id, None)
+    def _cancel_worker_execs(self, worker_id: int) -> None:
+        """Cancel the completions of every execution on a crashed worker
+        and retire their ledgers."""
+        table = self._worker_execs[worker_id]
+        for event, *_ in table.values():
+            event.cancel()
+        table.clear()
         self._disarm_rate_boundary(worker_id)
 
     # ==================================================================

@@ -5,7 +5,7 @@ Two contracts, both bit-exact:
 * **faults off is inert** — a run with ``faults=None`` and a run with an
   *empty* :class:`FaultPlan` produce bit-identical summaries, request
   tuples, and event streams across the full golden trace x policy grid.
-  The fault layer's hooks (exec multipliers, online filters, exec-event
+  The fault layer's hooks (exec multipliers, online filters, ledger
   tracking) must cost nothing semantically when no fault ever fires;
 * **chaos is deterministic** — a fixed ``random_plan`` replays
   bit-identically run to run, under ``reference_impl=True``, and under

@@ -325,9 +325,7 @@ def test_contention_conservation_invariants(case_idx, policy_name):
     # Progress ledgers and rate-boundary events fully retired, worker
     # indexes self-consistent, liveness counters exact despite every
     # reschedule leaving a stale heap entry behind.
-    assert not orchestrator._execs
-    assert not orchestrator._worker_execs or \
-        all(not t for t in orchestrator._worker_execs.values())
+    assert not any(orchestrator._worker_execs.values())
     assert not orchestrator._rate_events
     for worker in orchestrator.workers():
         assert worker.check_integrity()

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import build_parser
+from repro.cli import build_parser, config_from_args
+from repro.sim.contention import ContentionModel
 from repro.sim.eventlog import LIFECYCLE_RANK
 from repro.sim.telemetry import read_events_jsonl
 
@@ -76,17 +77,39 @@ def test_explain_replays_the_traced_run(tmp_path):
     assert printed == [str(e) for e in mine]
 
 
-@pytest.mark.parametrize("argv", [
-    ["compare", "--policies", "CIDRE,Nope"],
-    ["run", "--capacity-gb", "0"],
-    ["run", "--workers", "0"],
-    ["run", "--faults", "/nonexistent.json"],
-    ["run", "--requests", "2000", "--capacity-gb", "0.5"],
+@pytest.mark.parametrize("argv,names", [
+    (["compare", "--policies", "CIDRE,Nope"], ""),
+    (["run", "--capacity-gb", "0"], ""),
+    (["run", "--workers", "0"], ""),
+    (["run", "--faults", "/nonexistent.json"], ""),
+    (["run", "--requests", "2000", "--capacity-gb", "0.5"], ""),
+    (["run", "--preset", "fc", "--requests", "0"], "total_requests"),
+    (["stats", "--requests", "0"], "total_requests"),
+    (["generate", "--requests", "0", "--out", "out"], "total_requests"),
+    (["run", "--requests", "200", "--contention-alpha", "-1"],
+     "--contention-cores"),
+    (["run", "--load", "."], "--trace-name"),
 ], ids=["unknown-policy", "zero-capacity", "zero-workers",
-        "missing-fault-plan", "function-larger-than-worker"])
-def test_bad_input_is_a_usage_error(argv):
-    proc = _cli(*argv)
+        "missing-fault-plan", "function-larger-than-worker",
+        "run-zero-requests", "stats-zero-requests",
+        "generate-zero-requests", "alpha-without-cores",
+        "load-without-trace-name"])
+def test_bad_input_is_a_usage_error(argv, names, tmp_path):
+    proc = _cli(*argv, cwd=tmp_path)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("cidre-sim: error: ")
+    assert names in lines[0]
+    assert not list(tmp_path.iterdir())  # nothing generated or written
+
+
+@pytest.mark.parametrize("flags,model", [
+    (["--contention-cores", "2"], ContentionModel(cores=2, alpha=1.0)),
+    (["--contention-cores", "2", "--contention-alpha", "0.5"],
+     ContentionModel(cores=2, alpha=0.5)),
+    ([], None),
+])
+def test_contention_flags_build_the_model(flags, model):
+    args = build_parser().parse_args(["run", *flags])
+    assert config_from_args(args, trace=None).contention == model
